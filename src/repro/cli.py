@@ -269,14 +269,10 @@ def main_flow(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def main_serve(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``repro-serve`` (also ``python -m repro.serve``).
+def _serve_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``repro-serve``."""
+    from repro.serve.batching import DEFAULT_MAX_LATENCY_MS
 
-    Loads every requested model through the persistent flow cache (training
-    only the ones never seen before), then serves the HTTP JSON endpoint
-    until interrupted.  Routes: ``POST /predict``, ``GET /stats``,
-    ``GET /models``, ``GET /healthz`` — see ``docs/serving.md``.
-    """
     parser = argparse.ArgumentParser(
         description="Serve trained designs over an HTTP JSON endpoint with "
         "micro-batched inference."
@@ -310,7 +306,7 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--max-latency-ms",
         type=float,
-        default=2.0,
+        default=DEFAULT_MAX_LATENCY_MS,
         help="how long a partial micro-batch waits for stragglers before "
         "flushing (0 = flush as soon as the queue drains)",
     )
@@ -338,6 +334,18 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         "always)",
     )
     _add_common_arguments(parser)
+    return parser
+
+
+def main_serve(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``repro-serve`` (also ``python -m repro.serve``).
+
+    Loads every requested model through the persistent flow cache (training
+    only the ones never seen before), then serves the HTTP JSON endpoint
+    until interrupted.  Routes: ``POST /predict``, ``GET /stats``,
+    ``GET /models``, ``GET /healthz`` — see ``docs/serving.md``.
+    """
+    parser = _serve_parser()
     args = parser.parse_args(argv)
     config = _build_config(args)
 

@@ -258,32 +258,55 @@ def _invoke_compiler(toolchain: Toolchain, c_path: Path, so_path: Path) -> None:
         )
 
 
-def load_kernel(source: str, toolchain: Toolchain):
-    """The compiled ``repro_kernel`` for ``source``, through both caches.
+def kernel_path(source: str, toolchain: Toolchain) -> Path:
+    """Where the disk cache keeps the object compiled from ``source``.
 
-    Memory first, then disk (keyed by SHA-256 of toolchain fingerprint +
-    source), compiling only on a double miss.  The object is built in a
-    temporary directory and published with an atomic ``os.replace``, so
-    concurrent processes racing on the same key both succeed.
+    Keyed by SHA-256 of toolchain fingerprint + source, so a new compiler
+    version or a structural change never loads a stale kernel.
     """
     digest = hashlib.sha256(
         (toolchain.fingerprint + "\0" + source).encode()
     ).hexdigest()[:32]
+    return kernel_cache_dir() / f"{digest}.so"
+
+
+def _compile_to(source: str, toolchain: Toolchain, so_path: Path) -> None:
+    """Build ``source`` in a temporary directory and publish it atomically.
+
+    ``os.replace`` makes concurrent processes racing on the same key both
+    succeed, and never exposes a half-written object.
+    """
+    with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
+        c_path = Path(tmp) / "kernel.c"
+        c_path.write_text(source)
+        tmp_so = Path(tmp) / "kernel.so"
+        _invoke_compiler(toolchain, c_path, tmp_so)
+        os.replace(tmp_so, so_path)
+
+
+def load_kernel(source: str, toolchain: Toolchain):
+    """The compiled ``repro_kernel`` for ``source``, through both caches.
+
+    Memory first, then disk (see :func:`kernel_path`), compiling only on a
+    double miss.  A disk entry the loader rejects (truncated, say) is a
+    miss: it is unlinked and rebuilt, and only a fresh build that still
+    fails to load raises.
+    """
+    so_path = kernel_path(source, toolchain)
+    digest = so_path.stem
     with _SO_LOCK:
         cached = _SO_CACHE.get(digest)
         if cached is not None:
             return cached[1]
-        cache_dir = kernel_cache_dir()
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        so_path = cache_dir / f"{digest}.so"
+        so_path.parent.mkdir(parents=True, exist_ok=True)
         if not so_path.exists():
-            with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
-                c_path = Path(tmp) / "kernel.c"
-                c_path.write_text(source)
-                tmp_so = Path(tmp) / "kernel.so"
-                _invoke_compiler(toolchain, c_path, tmp_so)
-                os.replace(tmp_so, so_path)
-        lib = ctypes.CDLL(str(so_path))
+            _compile_to(source, toolchain, so_path)
+        try:
+            lib = ctypes.CDLL(str(so_path))
+        except OSError:
+            so_path.unlink(missing_ok=True)
+            _compile_to(source, toolchain, so_path)
+            lib = ctypes.CDLL(str(so_path))
         fn = lib.repro_kernel
         fn.argtypes = [_U64P, _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
         fn.restype = None

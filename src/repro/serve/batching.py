@@ -37,6 +37,11 @@ from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
+#: Default straggler window in milliseconds: flush as soon as the queue is
+#: drained.  Requests that arrive while the kernel runs still coalesce into
+#: the next micro-batch, so a wider window only delays a lone request.
+DEFAULT_MAX_LATENCY_MS = 0.0
+
 
 class BatcherClosed(RuntimeError):
     """Raised by :meth:`MicroBatcher.submit` after shutdown has begun.
@@ -84,9 +89,10 @@ class MicroBatcher:
         the splitting threshold for oversized bulk requests).
     max_latency_ms:
         Once the worker observes a pending (partial) micro-batch, how long
-        it keeps the batch open for stragglers before flushing.  ``0``
-        flushes as soon as the queue is drained (lowest latency; coalescing
-        still happens whenever requests arrive faster than the kernel runs).
+        it keeps the batch open for stragglers before flushing.  The default
+        ``0`` flushes as soon as the queue is drained (lowest latency;
+        coalescing still happens whenever requests arrive faster than the
+        kernel runs).
     on_batch:
         Optional callback ``(n_rows) -> None`` invoked after every flushed
         micro-batch — the stats hook.
@@ -103,7 +109,7 @@ class MicroBatcher:
         self,
         fn: Callable[[np.ndarray], np.ndarray],
         max_batch_size: int = 256,
-        max_latency_ms: float = 2.0,
+        max_latency_ms: float = DEFAULT_MAX_LATENCY_MS,
         on_batch: Optional[Callable[[int], None]] = None,
         name: str = "model",
     ) -> None:

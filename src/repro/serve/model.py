@@ -31,6 +31,23 @@ import numpy as np
 from repro.core.design_flow import FlowResult
 
 
+def as_feature_array(X) -> np.ndarray:
+    """Request features as a float array; non-numeric values raise ``ValueError``.
+
+    NumPy raises ``TypeError`` for values ``float()`` cannot take, such as a
+    JSON object; a ``ValueError`` is what the endpoint answers with 400.
+
+    Example::
+
+        as_feature_array([[0.5, 1.0]])     # -> array([[0.5, 1. ]])
+        as_feature_array({"a": 1})         # raises ValueError
+    """
+    try:
+        return np.asarray(X, dtype=float)
+    except TypeError as error:
+        raise ValueError(f"features must be numbers: {error}") from error
+
+
 @dataclass
 class ServedModel:
     """One loaded design plus everything the serving layer needs to run it.
@@ -125,10 +142,10 @@ class ServedModel:
     def validate_batch(self, X: np.ndarray) -> np.ndarray:
         """Normalize a request payload to a ``(k, n_features)`` float array.
 
-        1-D inputs are a single sample; wrong feature counts raise
-        ``ValueError`` (mapped to HTTP 400 by the endpoint).
+        1-D inputs are a single sample; wrong feature counts and non-numeric
+        values raise ``ValueError`` (mapped to HTTP 400 by the endpoint).
         """
-        X = np.asarray(X, dtype=float)
+        X = as_feature_array(X)
         if X.ndim == 1:
             # A flat vector is one sample; a flat empty list is an empty batch
             # (JSON "batch": [] arrives exactly like this).

@@ -36,8 +36,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.serve.batching import BatcherClosed, MicroBatcher
-from repro.serve.model import ServedModel
+from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, BatcherClosed, MicroBatcher
+from repro.serve.model import ServedModel, as_feature_array
 from repro.serve.registry import ModelRegistry
 from repro.serve.stats import StatsRecorder
 from repro.serve.transport import MSG_CONTROL, MSG_REQUEST, WorkerCrashed
@@ -46,8 +46,6 @@ from repro.serve.worker import WorkerHandle, WorkerSpec, _Pending
 #: Default coalescing ceiling: enough rows that a full micro-batch amortizes
 #: the per-call overhead down to noise, small enough to keep latency tails low.
 DEFAULT_MAX_BATCH_SIZE = 256
-#: Default straggler window in milliseconds (0 = flush as soon as drained).
-DEFAULT_MAX_LATENCY_MS = 2.0
 #: How often the frontend heartbeats its workers (seconds).
 DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 #: Silence (no pong) after which a live-but-hung worker is killed+restarted.
@@ -413,7 +411,7 @@ class ModelServer:
         """
         if self.workers:
             slot = self._ensure_routed(name)
-            rows = np.asarray(X, dtype=float)
+            rows = as_feature_array(X)
             return self._slot_call(
                 slot, MSG_REQUEST, (name, "ids", rows), resubmit=True
             )
@@ -434,7 +432,7 @@ class ModelServer:
         """
         if self.workers:
             slot = self._ensure_routed(name)
-            rows = np.asarray(X, dtype=float)
+            rows = as_feature_array(X)
             if rows.ndim == 1:
                 rows = rows.reshape(1, -1) if rows.size else rows.reshape(0, 0)
             aggregate = self._slot_call(
@@ -473,7 +471,7 @@ class ModelServer:
         start = time.monotonic()
         if self.workers:
             slot = self._ensure_routed(name)
-            rows = np.asarray(features, dtype=float)
+            rows = as_feature_array(features)
             future = self._slot_call(
                 slot, MSG_REQUEST, (name, "single", rows), resubmit=True
             )
@@ -506,7 +504,7 @@ class ModelServer:
         start = time.monotonic()
         if self.workers:
             slot = self._ensure_routed(name)
-            rows = np.asarray(X, dtype=float)
+            rows = as_feature_array(X)
             future = self._slot_call(
                 slot, MSG_REQUEST, (name, "bulk", rows), resubmit=True
             )

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.serve.batching import BatcherClosed
+from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, BatcherClosed
 from repro.serve.transport import (
     ERROR_CLOSED,
     ERROR_INTERNAL,
@@ -76,12 +76,12 @@ class WorkerSpec:
 
     Example::
 
-        WorkerSpec(max_batch_size=256, max_latency_ms=2.0,
+        WorkerSpec(max_batch_size=256, max_latency_ms=0.0,
                    preopen=("redwine/ours",))
     """
 
     max_batch_size: int = 256
-    max_latency_ms: float = 2.0
+    max_latency_ms: float = DEFAULT_MAX_LATENCY_MS
     #: Model lanes opened (training/loading if cold) as the worker boots.
     preopen: Tuple[str, ...] = field(default_factory=tuple)
 

@@ -242,6 +242,57 @@ class TestKernelCache:
         # The mutated structure emits different source, hence a new disk key.
         assert len(list(native.kernel_cache_dir().glob("*.so"))) > n_so_before
 
+    def test_corrupt_disk_entry_is_rebuilt(self, fresh_caches, monkeypatch):
+        """A truncated cached kernel is a miss: unlinked, recompiled, loaded.
+
+        The entry is corrupted before any process maps it: truncating an
+        object this process has loaded would kill it with SIGBUS.
+        """
+        invocations = []
+        real = native._invoke_compiler
+        monkeypatch.setattr(
+            native,
+            "_invoke_compiler",
+            lambda *a: (invocations.append(a), real(*a))[1],
+        )
+        netlist = build_ripple_adder_netlist(4)
+        evaluator = make_evaluator(compile_netlist(netlist), "native")
+        program = evaluator.program
+        source = generate_c_kernel_source(program, program.output_slots)
+        so_path = native.kernel_path(source, evaluator.toolchain)
+        so_path.parent.mkdir(parents=True)
+        so_path.write_bytes(b"")
+        vectors = np.random.default_rng(4).integers(0, 2, size=(80, len(netlist.inputs)))
+        reference = evaluator_for(netlist, engine="interp").evaluate(vectors)
+        assert np.array_equal(evaluator.evaluate(vectors), reference)
+        assert len(invocations) == 1
+        assert so_path.stat().st_size > 0
+        # The healed entry now serves a cold memory cache without compiling.
+        monkeypatch.setattr(native, "_SO_CACHE", {})
+        again = make_evaluator(compile_netlist(netlist), "native")
+        assert np.array_equal(again.evaluate(vectors), reference)
+        assert len(invocations) == 1
+
+    def test_corrupt_entry_raises_when_the_rebuild_fails_too(
+        self, fresh_caches, monkeypatch
+    ):
+        toolchain = find_toolchain()
+        source = generate_c_kernel_source(
+            compile_netlist(build_ripple_adder_netlist(2)), [0]
+        )
+        so_path = native.kernel_path(source, toolchain)
+        so_path.parent.mkdir(parents=True)
+        so_path.write_bytes(b"")
+        # The "compiler" publishes another unloadable object.
+        monkeypatch.setattr(
+            native,
+            "_invoke_compiler",
+            lambda toolchain, c_path, out: Path(out).write_bytes(b"not an object"),
+        )
+        with pytest.raises(OSError):
+            native.load_kernel(source, toolchain)
+        assert not native._SO_CACHE
+
     def test_compiler_failure_raises_with_stderr(self, fresh_caches):
         toolchain = find_toolchain()
         with pytest.raises(RuntimeError, match="native kernel compilation failed"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import socket
 import threading
 import time
 
@@ -14,6 +16,12 @@ from repro.serve.server import ModelServer
 from .conftest import MODEL_NAME
 
 
+requires_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fleet needs the fork start method",
+)
+
+
 @pytest.fixture()
 def endpoint(server):
     """The test server bound to an ephemeral loopback port."""
@@ -22,6 +30,35 @@ def endpoint(server):
     yield HTTPClient(f"http://{host}:{port}", timeout=30.0)
     httpd.shutdown()
     httpd.server_close()
+
+
+@pytest.fixture()
+def fleet_endpoint(registry):
+    """A two-worker fleet over the test registry, behind HTTP."""
+    server = ModelServer(registry, max_batch_size=16, max_latency_ms=1.0, workers=2)
+    httpd = serve_in_thread(server, port=0)
+    host, port = httpd.server_address[:2]
+    client = HTTPClient(f"http://{host}:{port}", timeout=30.0)
+    try:
+        assert client.wait_ready(timeout_s=30.0)["ready"] is True
+        yield client
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        server.shutdown()
+
+
+def _raw_exchange(httpd_url: str, request: bytes) -> bytes:
+    """Send raw bytes on a fresh socket; everything read until the server closes."""
+    host, port = httpd_url.rsplit("//", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 def test_http_predict_bit_identical_to_run_batch(
@@ -116,9 +153,18 @@ def test_http_client_survives_server_side_close(endpoint, request_rows):
     assert endpoint.healthz()["status"] == "ok"
 
 
-def test_http_error_codes(endpoint, request_rows):
+def _assert_error_codes(endpoint, request_rows):
     with pytest.raises(HTTPError) as err:
         endpoint.predict(MODEL_NAME, [0.1, 0.2])  # wrong feature count
+    assert err.value.status == 400
+
+    for features in ({"a": 1}, [{"a": 1}] * request_rows.shape[1]):
+        with pytest.raises(HTTPError) as err:
+            endpoint._request("/predict", {"model": MODEL_NAME, "features": features})
+        assert err.value.status == 400, features
+        assert "features must be numbers" in str(err.value)
+    with pytest.raises(HTTPError) as err:
+        endpoint._request("/predict", {"model": MODEL_NAME, "batch": [{"a": 1}]})
     assert err.value.status == 400
 
     with pytest.raises(HTTPError) as err:
@@ -143,6 +189,35 @@ def test_http_error_codes(endpoint, request_rows):
     with pytest.raises(HTTPError) as err:
         endpoint._request("/nope")
     assert err.value.status == 404
+
+
+def test_http_error_codes(endpoint, request_rows):
+    _assert_error_codes(endpoint, request_rows)
+
+
+@requires_fork
+def test_fleet_http_error_codes(fleet_endpoint, request_rows):
+    """The fleet converts features in the frontend: same 400s as in-process."""
+    _assert_error_codes(fleet_endpoint, request_rows)
+    # The fleet still answers after every rejected request.
+    assert "class_id" in fleet_endpoint.predict(MODEL_NAME, list(request_rows[0]))
+
+
+@pytest.mark.parametrize("length", ["abc", "12abc", "1.5"])
+def test_malformed_content_length_answers_400_and_closes(endpoint, length):
+    reply = _raw_exchange(
+        endpoint.base_url,
+        (
+            "POST /predict HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+        ).encode(),
+    )
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply
+    assert b"Connection: close" in head
+    assert b"malformed Content-Length" in body
+    # The server closed the socket (the read above ended) and keeps serving.
+    assert endpoint.healthz()["status"] == "ok"
 
 
 def test_healthz_reports_ready(endpoint):
