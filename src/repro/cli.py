@@ -271,7 +271,7 @@ def main_flow(argv: Optional[List[str]] = None) -> int:
 
 def _serve_parser() -> argparse.ArgumentParser:
     """The argument parser of ``repro-serve``."""
-    from repro.serve.batching import DEFAULT_MAX_LATENCY_MS
+    from repro.serve.batching import DEFAULT_MAX_BATCH_SIZE, DEFAULT_MAX_LATENCY_MS
 
     parser = argparse.ArgumentParser(
         description="Serve trained designs over an HTTP JSON endpoint with "
@@ -299,7 +299,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-batch-size",
         type=int,
-        default=256,
+        default=DEFAULT_MAX_BATCH_SIZE,
         help="micro-batch ceiling: concurrent requests coalesce into "
         "vectorized batches of at most this many samples",
     )

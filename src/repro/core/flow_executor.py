@@ -46,9 +46,8 @@ from repro.core.design_flow import (
     run_flow,
     warm_flow_cache,
 )
+from repro.toolchain import default_cache_dir
 
-#: Environment variable overriding the default cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable disabling the persistent cache entirely ("1"/"true").
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 
@@ -56,20 +55,6 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 DISK_CACHE_MAX_ENTRIES = 256
 
 _FINGERPRINT: Optional[str] = None
-
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``.
-
-    Example::
-
-        os.environ["REPRO_CACHE_DIR"] = "/tmp/repro-cache"
-        default_cache_dir()                  # PosixPath('/tmp/repro-cache')
-    """
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return Path(override).expanduser()
-    return Path("~/.cache/repro").expanduser()
 
 
 def code_fingerprint() -> str:

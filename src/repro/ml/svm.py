@@ -10,7 +10,12 @@ module implements two standard linear-SVM trainers from scratch:
   ICML 2008) for the L2-regularised L1-loss / L2-loss SVM.  This is the
   default: it is deterministic given a seed, fast for the small UCI-sized
   datasets of the paper, and exposes the dual coefficients, i.e. which
-  training samples act as support vectors.
+  training samples act as support vectors.  One epoch (a pass over a
+  shuffled sample order) runs as a compiled C function where a C toolchain
+  exists (:mod:`repro.toolchain`), and otherwise as
+  :func:`_dual_cd_epoch_reference`, the pure-Python oracle it is
+  bit-identical to.  The shuffle itself stays in numpy, so both paths visit
+  the samples in the same order.
 * **Sub-gradient SGD** (Pegasos-style) as an alternative optimiser, useful
   for cross-checking and for the property-based tests.
 
@@ -20,10 +25,134 @@ gets quantized and hardwired into the bespoke circuits.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, List, Optional
 
 import numpy as np
+
+from repro import toolchain
+
+#: One dual-CD epoch in C, statement for statement the same IEEE operations
+#: in the same order as :func:`_dual_cd_epoch_reference`.  Python's
+#: ``min(a, b)`` keeps ``a`` unless ``b < a`` and ``max(a, b)`` keeps ``a``
+#: unless ``b > a``; the ternaries below spell exactly that, so ties, signed
+#: zeros and NaNs resolve as in Python.
+_EPOCH_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+double repro_dual_cd_epoch(
+    const int64_t *order, int64_t n_order, const double *X, int64_t n_features,
+    const double *y, const double *sample_weight, const double *diag,
+    const double *upper, const double *q_diag, double *alpha, double *w)
+{
+    double max_violation = 0.0;
+    for (int64_t k = 0; k < n_order; ++k) {
+        const int64_t i = order[k];
+        if (sample_weight[i] == 0.0)
+            continue;
+        const double *x = X + i * n_features;
+        double dot = 0.0;
+        for (int64_t j = 0; j < n_features; ++j)
+            dot += x[j] * w[j];
+        const double g = y[i] * dot - 1.0 + diag[i] * alpha[i];
+        double pg = g;
+        if (alpha[i] <= 0.0)
+            pg = (0.0 < g) ? 0.0 : g;                       /* min(g, 0.0) */
+        else if (alpha[i] >= upper[i])
+            pg = (0.0 > g) ? 0.0 : g;                       /* max(g, 0.0) */
+        const double violation = fabs(pg);
+        if (violation > max_violation)
+            max_violation = violation;
+        if (violation > 1e-14) {
+            if (q_diag[i] <= 0.0)
+                continue;
+            const double alpha_old = alpha[i];
+            const double step = alpha_old - g / q_diag[i];
+            const double clipped = (0.0 > step) ? 0.0 : step;  /* max(step, 0.0) */
+            alpha[i] = (upper[i] < clipped) ? upper[i] : clipped;  /* min(., upper) */
+            const double delta = (alpha[i] - alpha_old) * y[i];
+            if (delta != 0.0)
+                for (int64_t j = 0; j < n_features; ++j)
+                    w[j] += delta * x[j];
+        }
+    }
+    return max_violation;
+}
+"""
+
+#: ``-ffp-contract=off`` keeps ``w[j] += delta * x[j]`` a rounded multiply
+#: then a rounded add: where FMA is baseline (aarch64) the compiler would
+#: otherwise fuse them and round once.  No ``-ffast-math``: it licenses
+#: reordering the sums.  No ``-march``: a cached object must run, and round
+#: the same way, on any host of the architecture.
+_EPOCH_FLAGS = ("-O2", "-ffp-contract=off")
+
+
+def _dual_cd_epoch_reference(
+    order: List[int],
+    X: List[List[float]],
+    y: List[float],
+    sample_weight: List[float],
+    diag: List[float],
+    upper: List[float],
+    q_diag: List[float],
+    alpha: List[float],
+    w: List[float],
+) -> float:
+    """One dual-CD pass over ``order``; the oracle of the compiled epoch.
+
+    Every argument is a Python list (``X`` a list of rows); ``alpha`` and
+    ``w`` are updated in place.  Dot products sum in index order, as the C
+    loop does, and each ``min``/``max`` keeps its argument order, which the
+    kernel mirrors.  Returns the largest projected-gradient violation.
+    """
+    max_violation = 0.0
+    for i in order:
+        if sample_weight[i] == 0:
+            continue
+        x = X[i]
+        dot = 0.0
+        for x_j, w_j in zip(x, w):
+            dot += x_j * w_j
+        g = y[i] * dot - 1.0 + diag[i] * alpha[i]
+        # Projected gradient
+        if alpha[i] <= 0.0:
+            pg = min(g, 0.0)
+        elif alpha[i] >= upper[i]:
+            pg = max(g, 0.0)
+        else:
+            pg = g
+        max_violation = max(max_violation, abs(pg))
+        if abs(pg) > 1e-14:
+            if q_diag[i] <= 0:
+                continue
+            alpha_old = alpha[i]
+            alpha[i] = min(max(alpha_old - g / q_diag[i], 0.0), upper[i])
+            delta = (alpha[i] - alpha_old) * y[i]
+            if delta != 0.0:
+                w[:] = [w_j + delta * x_j for w_j, x_j in zip(w, x)]
+    return max_violation
+
+
+def _dual_cd_epoch_kernel() -> Optional[Callable[..., float]]:
+    """The compiled epoch, or ``None`` where no C toolchain is found.
+
+    Compiled on the first call in a process (or loaded from the disk cache)
+    and held by :func:`repro.toolchain.load_shared` after that.
+    """
+    found = toolchain.find_toolchain()
+    if found is None:
+        return None
+    fn = toolchain.load_shared(_EPOCH_SOURCE, _EPOCH_FLAGS, found).repro_dual_cd_epoch
+    fn.argtypes = (
+        [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+        + [ctypes.c_void_p] * 7
+    )
+    fn.restype = ctypes.c_double
+    return fn
 
 
 @dataclass
@@ -134,12 +263,16 @@ class LinearSVC:
         # Map to {-1, +1}: larger label -> +1.
         y_signed = np.where(y == classes[1], 1.0, -1.0)
 
+        if not np.isfinite(X).all():
+            raise ValueError("X contains NaN or infinity")
         if sample_weight is None:
             sample_weight = np.ones(X.shape[0], dtype=float)
         else:
-            sample_weight = np.asarray(sample_weight, dtype=float)
-            if sample_weight.shape[0] != X.shape[0]:
+            sample_weight = np.ascontiguousarray(sample_weight, dtype=float)
+            if sample_weight.shape != (X.shape[0],):
                 raise ValueError("sample_weight length mismatch")
+            if not np.isfinite(sample_weight).all():
+                raise ValueError("sample_weight contains NaN or infinity")
             if np.any(sample_weight < 0):
                 raise ValueError("sample_weight entries must be non-negative")
 
@@ -167,6 +300,10 @@ class LinearSVC:
         self, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray
     ) -> np.ndarray:
         """Dual coordinate descent for L1/L2-loss linear SVM (Hsieh et al.)."""
+        # The compiled epoch indexes raw buffers, so every array it sees is
+        # C-contiguous float64: ``y`` and ``sample_weight`` leave ``fit``
+        # that way, and the rest are built fresh below.
+        X = np.ascontiguousarray(X)
         n_samples, n_features = X.shape
         rng = np.random.default_rng(self.random_state)
 
@@ -182,41 +319,37 @@ class LinearSVC:
                     sample_weight > 0, 1.0 / (2.0 * self.C * sample_weight), np.inf
                 )
 
-        alpha = np.zeros(n_samples)
-        w = np.zeros(n_features)
         # Q_ii = x_i . x_i + D_ii
         q_diag = np.einsum("ij,ij->i", X, X) + diag
+        alpha = np.zeros(n_samples)
+        w = np.zeros(n_features)
+        # Shuffled in place every epoch, so its buffer (and pointer) is fixed.
+        active = np.arange(n_samples, dtype=np.int64)
+
+        kernel = _dual_cd_epoch_kernel()
+        if kernel is not None:
+            epoch = functools.partial(
+                kernel, active.ctypes.data, n_samples, X.ctypes.data, n_features,
+                *(a.ctypes.data for a in (y, sample_weight, diag, upper, q_diag, alpha, w)),
+            )
+        else:
+            lists = [a.tolist() for a in (X, y, sample_weight, diag, upper, q_diag)]
+            alpha_list, w_list = alpha.tolist(), w.tolist()
+
+            def epoch() -> float:
+                return _dual_cd_epoch_reference(active.tolist(), *lists, alpha_list, w_list)
 
         converged = False
         iteration = 0
         max_violation = float("inf")
-        active = np.arange(n_samples)
         for iteration in range(1, self.max_iter + 1):
             rng.shuffle(active)
-            max_violation = 0.0
-            for i in active:
-                if sample_weight[i] == 0:
-                    continue
-                g = y[i] * float(X[i] @ w) - 1.0 + diag[i] * alpha[i]
-                # Projected gradient
-                if alpha[i] <= 0.0:
-                    pg = min(g, 0.0)
-                elif alpha[i] >= upper[i]:
-                    pg = max(g, 0.0)
-                else:
-                    pg = g
-                max_violation = max(max_violation, abs(pg))
-                if abs(pg) > 1e-14:
-                    if q_diag[i] <= 0:
-                        continue
-                    alpha_old = alpha[i]
-                    alpha[i] = min(max(alpha[i] - g / q_diag[i], 0.0), upper[i])
-                    delta = (alpha[i] - alpha_old) * y[i]
-                    if delta != 0.0:
-                        w += delta * X[i]
+            max_violation = epoch()
             if max_violation < self.tol:
                 converged = True
                 break
+        if kernel is None:
+            alpha, w = np.array(alpha_list), np.array(w_list)
 
         self.dual_coef_ = alpha
         self.support_ = np.flatnonzero(alpha > 1e-12)

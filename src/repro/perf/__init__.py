@@ -86,12 +86,7 @@ from repro.perf.engines import (
     resolve_engine,
 )
 from repro.perf.flow_bench import run_flow_benchmark
-from repro.perf.native import (
-    NativeEvaluator,
-    find_toolchain,
-    generate_c_kernel_source,
-    native_available,
-)
+from repro.perf.native import NativeEvaluator, generate_c_kernel_source
 from repro.perf.seqsim import (
     SequentialEvaluator,
     SequentialProgram,
@@ -99,6 +94,7 @@ from repro.perf.seqsim import (
     sequential_evaluator_for,
     simulate_sequential_batch,
 )
+from repro.toolchain import find_toolchain, native_available
 
 __all__ = [
     "run_flow_benchmark",

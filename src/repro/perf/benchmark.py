@@ -38,9 +38,10 @@ import itertools
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -102,6 +103,32 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
+def _time_pairs(
+    fn_a: Callable[[], object], fn_b: Callable[[], object], pairs: int = 15
+) -> Tuple[float, float, float]:
+    """Median ``(t_a, t_b, t_a / t_b)`` over interleaved pairs of runs.
+
+    For a ratio between two paths.  Timing each side in its own block
+    lets a slow phase of the host land on one side only: the batched
+    datapath side takes ~0.25 ms, so a few scheduler hiccups in its block
+    alone moved a best-of-3 ratio below its floor.  Here each pair times
+    both sides back to back, the side that runs first alternates, and the
+    ratio is taken per pair, so a slow phase slows both sides of a pair
+    and the median drops the pairs it hit unevenly.  One untimed warmup
+    of each side runs first, as in :func:`_time`.
+    """
+    fn_a()
+    fn_b()
+    times: Tuple[List[float], List[float]] = ([], [])
+    for k in range(pairs):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            (fn_a, fn_b)[side]()
+            times[side].append(time.perf_counter() - start)
+    ratios = [a / b for a, b in zip(*times)]
+    return statistics.median(times[0]), statistics.median(times[1]), statistics.median(ratios)
+
+
 # --------------------------------------------------------------------------- #
 # Datapath throughput
 # --------------------------------------------------------------------------- #
@@ -119,14 +146,17 @@ def benchmark_datapath(
     weights = rng.integers(-31, 32, size=(n_classifiers, n_features), dtype=np.int64)
     biases = rng.integers(-100, 100, size=n_classifiers, dtype=np.int64)
     seq = SequentialDatapathSimulator(weights, biases)
-    t_scalar = _time(lambda: [seq.run(row).predicted_class for row in X], repeats=3)
-    t_batch = _time(lambda: seq.run_batch(X), repeats=3)
-    results["sequential_svm"] = _datapath_record(n_samples, t_scalar, t_batch)
+    results["sequential_svm"] = _datapath_record(
+        n_samples,
+        *_time_pairs(
+            lambda: [seq.run(row).predicted_class for row in X], lambda: seq.run_batch(X)
+        ),
+    )
 
     ovr = ParallelDatapathSimulator(weights, biases, strategy="ovr")
-    t_scalar = _time(lambda: [ovr.run(row) for row in X], repeats=3)
-    t_batch = _time(lambda: ovr.run_batch(X), repeats=3)
-    results["parallel_ovr"] = _datapath_record(n_samples, t_scalar, t_batch)
+    results["parallel_ovr"] = _datapath_record(
+        n_samples, *_time_pairs(lambda: [ovr.run(row) for row in X], lambda: ovr.run_batch(X))
+    )
 
     n_classes = 5
     pairs = list(itertools.combinations(range(n_classes), 2))
@@ -135,18 +165,20 @@ def benchmark_datapath(
     ovo = ParallelDatapathSimulator(
         w_ovo, b_ovo, strategy="ovo", pairs=pairs, n_classes=n_classes
     )
-    t_scalar = _time(lambda: [ovo.run(row) for row in X], repeats=3)
-    t_batch = _time(lambda: ovo.run_batch(X), repeats=3)
-    results["parallel_ovo"] = _datapath_record(n_samples, t_scalar, t_batch)
+    results["parallel_ovo"] = _datapath_record(
+        n_samples, *_time_pairs(lambda: [ovo.run(row) for row in X], lambda: ovo.run_batch(X))
+    )
     return results
 
 
-def _datapath_record(n_samples: int, t_scalar: float, t_batch: float) -> Dict[str, float]:
+def _datapath_record(
+    n_samples: int, t_scalar: float, t_batch: float, speedup: float
+) -> Dict[str, float]:
     return {
         "n_samples": float(n_samples),
         "scalar_samples_per_s": n_samples / t_scalar,
         "batch_samples_per_s": n_samples / t_batch,
-        "speedup": t_scalar / t_batch,
+        "speedup": speedup,
     }
 
 
@@ -394,20 +426,26 @@ def benchmark_roofline(
         packed_wide, _ = pack_vectors(wide)
         evaluator = evaluator_for(netlist, engine="native")
         slots = evaluator.program.output_slots
-        scaling: Dict[str, Dict[str, float]] = {}
-        t_one = None
-        try:
-            for threads in (1, 2, 4):
+        gate_evals = netlist.n_gates() * scale_vectors
+
+        def sharded(threads: int) -> Callable[[], object]:
+            def run() -> object:
                 evaluator.threads = threads
-                t = _time(
-                    lambda: evaluator.evaluate_packed_slots(packed_wide, slots),
-                    repeats=3,
+                return evaluator.evaluate_packed_slots(packed_wide, slots)
+
+            return run
+
+        scaling: Dict[str, Dict[str, float]] = {}
+        try:
+            for threads in (2, 4):
+                t_one, t, ratio = _time_pairs(sharded(1), sharded(threads))
+                scaling.setdefault(
+                    "threads_1",
+                    {"gate_evals_per_s": gate_evals / t_one, "scaling_vs_1_thread": 1.0},
                 )
-                if t_one is None:
-                    t_one = t
                 scaling[f"threads_{threads}"] = {
-                    "gate_evals_per_s": netlist.n_gates() * scale_vectors / t,
-                    "scaling_vs_1_thread": t_one / t,
+                    "gate_evals_per_s": gate_evals / t,
+                    "scaling_vs_1_thread": ratio,
                 }
         finally:
             evaluator.threads = None

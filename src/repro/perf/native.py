@@ -24,24 +24,20 @@ calls it through :mod:`ctypes`:
   :data:`NATIVE_PARALLEL_MIN_WORDS` words it stays single-threaded: a
   kernel call on a few words finishes in microseconds, under the cost of
   waking a worker).
-* **caching** — compiled objects are cached in memory per process *and* on
-  disk under the PR 2 cache root (``$REPRO_CACHE_DIR`` or
-  ``~/.cache/repro``), keyed by the SHA-256 of (toolchain fingerprint +
-  kernel source).  Structural netlist mutation produces different source,
-  hence a different key — the same invalidation discipline as every other
-  compiled artifact.  A second process (or a second run) with the same
-  netlist structure loads the ``.so`` without invoking the compiler.
-* **degradation** — toolchain detection runs once per process and is
-  cached.  With no compiler (or ``$REPRO_NO_NATIVE=1``),
+* **caching** — compiled objects go through :func:`repro.toolchain.load_shared`
+  (memory per process, disk under ``$REPRO_CACHE_DIR``), keyed by toolchain,
+  flags and kernel source.  Structural netlist mutation produces different
+  source, hence a different key; a second process with the same netlist
+  structure loads the ``.so`` without invoking the compiler.
+* **degradation** — with no compiler (or ``$REPRO_NO_NATIVE=1``, see
+  :func:`repro.toolchain.find_toolchain`),
   ``engine='native'`` degrades to ``'codegen'`` with a one-time
   ``RuntimeWarning``, and ``'auto'`` never selects ``native`` — hosts
   without a toolchain keep working, just not faster.
 
 Tuning knobs (all validated at import): ``$REPRO_NATIVE_THREADS`` (shards
-per large batch, default ``min(4, cpu_count)``), ``$REPRO_NATIVE_MIN_WORDS``
-(single-thread threshold, default 2048 words = 128 Ki vectors),
-``$REPRO_NO_NATIVE`` (force the fallback path, used by CI to keep it from
-rotting).
+per large batch, default ``min(4, cpu_count)``) and ``$REPRO_NATIVE_MIN_WORDS``
+(single-thread threshold, default 2048 words = 128 Ki vectors).
 
 Typical use goes through the ``engine=`` selector, not this module::
 
@@ -52,27 +48,22 @@ Typical use goes through the ``engine=`` selector, not this module::
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import toolchain as _toolchain
 from repro.perf.bitsim import BitParallelEvaluator
 from repro.perf.compile import CompiledProgram
 from repro.perf.engines import _env_int, plan_kernel
+from repro.toolchain import Toolchain, native_available  # noqa: F401  (re-export)
 
-#: Set to ``1``/``true``/``yes`` to pretend no toolchain exists — forces the
-#: native -> codegen fallback path (exercised by a CI matrix leg).
-NO_NATIVE_ENV = "REPRO_NO_NATIVE"
+#: Compiler flags of the gate kernels (bitwise ops only, so no float rules).
+CFLAGS = ("-O2",)
 
 #: Threads a large batch is sharded across (``$REPRO_NATIVE_THREADS``).
 NATIVE_THREADS = _env_int(
@@ -89,75 +80,6 @@ _U64P = ctypes.POINTER(ctypes.c_uint64)
 #: Placeholder passed as ``in`` when the program has no inputs (the kernel
 #: never dereferences it, but ctypes needs a valid pointer).
 _EMPTY_IN = np.zeros(1, dtype=np.uint64)
-
-
-# --------------------------------------------------------------------------- #
-# Toolchain detection (once per process, cached)
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Toolchain:
-    """A probed C compiler: absolute path plus its ``--version`` first line."""
-
-    path: str
-    version: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable digest of (path, version) — part of the disk-cache key, so
-        upgrading or switching compilers invalidates cached objects."""
-        return hashlib.sha256(
-            f"{self.path}\0{self.version}".encode()
-        ).hexdigest()[:16]
-
-
-_UNPROBED = object()
-_TOOLCHAIN: object = _UNPROBED
-_TOOLCHAIN_LOCK = threading.Lock()
-
-
-def _probe_toolchain() -> Optional[Toolchain]:
-    if os.environ.get(NO_NATIVE_ENV, "").strip().lower() in ("1", "true", "yes"):
-        return None
-    candidates: List[str] = []
-    cc_env = os.environ.get("CC", "").strip()
-    if cc_env:
-        candidates.append(cc_env)
-    candidates += ["cc", "gcc", "clang"]
-    for name in candidates:
-        path = shutil.which(name)
-        if not path:
-            continue
-        try:
-            proc = subprocess.run(
-                [path, "--version"], capture_output=True, text=True, timeout=10
-            )
-        except (OSError, subprocess.SubprocessError):
-            continue
-        if proc.returncode == 0 and proc.stdout.strip():
-            return Toolchain(path=path, version=proc.stdout.splitlines()[0].strip())
-    return None
-
-
-def find_toolchain(refresh: bool = False) -> Optional[Toolchain]:
-    """The system C compiler, probed once per process and cached.
-
-    Honors ``$CC`` first, then ``cc``/``gcc``/``clang`` on ``PATH``; a
-    candidate counts only if it answers ``--version``.  Returns ``None``
-    when :data:`NO_NATIVE_ENV` is set or nothing usable is found.
-    ``refresh=True`` re-probes (tests use it after changing the
-    environment).
-    """
-    global _TOOLCHAIN
-    with _TOOLCHAIN_LOCK:
-        if _TOOLCHAIN is _UNPROBED or refresh:
-            _TOOLCHAIN = _probe_toolchain()
-        return _TOOLCHAIN  # type: ignore[return-value]
-
-
-def native_available() -> bool:
-    """Whether ``engine='native'`` would actually run compiled C here."""
-    return find_toolchain() is not None
-
 
 _WARNED_MISSING = False
 
@@ -224,97 +146,6 @@ def generate_c_kernel_source(
 
 
 # --------------------------------------------------------------------------- #
-# Compilation + two-level (memory, disk) kernel cache
-# --------------------------------------------------------------------------- #
-def kernel_cache_dir() -> Path:
-    """Directory of the on-disk shared-object cache.
-
-    Lives under the PR 2 persistent cache root (``$REPRO_CACHE_DIR`` or
-    ``~/.cache/repro``), so one knob relocates every cache the repo keeps.
-    """
-    from repro.core.flow_executor import default_cache_dir
-
-    return default_cache_dir() / "native-kernels"
-
-
-# digest -> (CDLL, bound function); the CDLL reference keeps the object
-# mapped for as long as any evaluator may still hold the function.
-_SO_CACHE: Dict[str, Tuple[ctypes.CDLL, object]] = {}
-_SO_LOCK = threading.Lock()
-
-
-def _invoke_compiler(toolchain: Toolchain, c_path: Path, so_path: Path) -> None:
-    """Run one compiler invocation (separate function so tests can spy on or
-    fail it).  Raises ``RuntimeError`` with the compiler's stderr on failure."""
-    proc = subprocess.run(
-        [toolchain.path, "-O2", "-fPIC", "-shared", "-o", str(so_path), str(c_path)],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"native kernel compilation failed ({toolchain.path} exited "
-            f"{proc.returncode}):\n{proc.stderr}"
-        )
-
-
-def kernel_path(source: str, toolchain: Toolchain) -> Path:
-    """Where the disk cache keeps the object compiled from ``source``.
-
-    Keyed by SHA-256 of toolchain fingerprint + source, so a new compiler
-    version or a structural change never loads a stale kernel.
-    """
-    digest = hashlib.sha256(
-        (toolchain.fingerprint + "\0" + source).encode()
-    ).hexdigest()[:32]
-    return kernel_cache_dir() / f"{digest}.so"
-
-
-def _compile_to(source: str, toolchain: Toolchain, so_path: Path) -> None:
-    """Build ``source`` in a temporary directory and publish it atomically.
-
-    ``os.replace`` makes concurrent processes racing on the same key both
-    succeed, and never exposes a half-written object.
-    """
-    with tempfile.TemporaryDirectory(dir=so_path.parent) as tmp:
-        c_path = Path(tmp) / "kernel.c"
-        c_path.write_text(source)
-        tmp_so = Path(tmp) / "kernel.so"
-        _invoke_compiler(toolchain, c_path, tmp_so)
-        os.replace(tmp_so, so_path)
-
-
-def load_kernel(source: str, toolchain: Toolchain):
-    """The compiled ``repro_kernel`` for ``source``, through both caches.
-
-    Memory first, then disk (see :func:`kernel_path`), compiling only on a
-    double miss.  A disk entry the loader rejects (truncated, say) is a
-    miss: it is unlinked and rebuilt, and only a fresh build that still
-    fails to load raises.
-    """
-    so_path = kernel_path(source, toolchain)
-    digest = so_path.stem
-    with _SO_LOCK:
-        cached = _SO_CACHE.get(digest)
-        if cached is not None:
-            return cached[1]
-        so_path.parent.mkdir(parents=True, exist_ok=True)
-        if not so_path.exists():
-            _compile_to(source, toolchain, so_path)
-        try:
-            lib = ctypes.CDLL(str(so_path))
-        except OSError:
-            so_path.unlink(missing_ok=True)
-            _compile_to(source, toolchain, so_path)
-            lib = ctypes.CDLL(str(so_path))
-        fn = lib.repro_kernel
-        fn.argtypes = [_U64P, _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
-        fn.restype = None
-        _SO_CACHE[digest] = (lib, fn)
-        return fn
-
-
-# --------------------------------------------------------------------------- #
 # Persistent shard pool (shared by every NativeEvaluator in the process)
 # --------------------------------------------------------------------------- #
 _POOL: Optional[ThreadPoolExecutor] = None
@@ -341,7 +172,7 @@ class NativeEvaluator(BitParallelEvaluator):
     Kernels are generated, compiled and loaded lazily per slot tuple (same
     laziness as :class:`~repro.perf.engines.CodegenEvaluator`) and cached on
     the evaluator; the shared objects additionally persist in the process-
-    and disk-level caches (:func:`load_kernel`).  Evaluator instances are
+    and disk-level caches (:func:`repro.toolchain.load_shared`).  Evaluator instances are
     cached per netlist structure by
     :func:`~repro.perf.bitsim.evaluator_for`, so structural mutation retires
     the evaluator — and its new source hashes to a new disk key.
@@ -362,7 +193,7 @@ class NativeEvaluator(BitParallelEvaluator):
         self, program: CompiledProgram, toolchain: Optional[Toolchain] = None
     ) -> None:
         super().__init__(program)
-        toolchain = toolchain if toolchain is not None else find_toolchain()
+        toolchain = toolchain if toolchain is not None else _toolchain.find_toolchain()
         if toolchain is None:
             raise RuntimeError(
                 "no C toolchain available — construct evaluators through "
@@ -379,7 +210,9 @@ class NativeEvaluator(BitParallelEvaluator):
         fn = self._kernels.get(slots)
         if fn is None:
             source = generate_c_kernel_source(self.program, slots)
-            fn = load_kernel(source, self.toolchain)
+            fn = _toolchain.load_shared(source, CFLAGS, self.toolchain).repro_kernel
+            fn.argtypes = [_U64P, _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
+            fn.restype = None
             self._kernels[slots] = fn
             self._sources[slots] = source
         return fn

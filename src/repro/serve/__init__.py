@@ -44,7 +44,12 @@ Example::
         client.predict("redwine/ours", [0.5] * 11)   # 11 redwine features
 """
 
-from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, BatcherClosed, MicroBatcher
+from repro.serve.batching import (
+    DEFAULT_MAX_BATCH_SIZE,
+    DEFAULT_MAX_LATENCY_MS,
+    BatcherClosed,
+    MicroBatcher,
+)
 from repro.serve.bench import run_multi_worker_benchmark, run_serving_benchmark
 from repro.serve.client import Client, HTTPClient, HTTPError
 from repro.serve.http import ServingHTTPServer, build_http_server, serve_in_thread
@@ -57,7 +62,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.model import ServedModel
 from repro.serve.registry import ModelRegistry, parse_model_name
-from repro.serve.server import DEFAULT_MAX_BATCH_SIZE, ModelServer, ServerClosed
+from repro.serve.server import ModelServer, ServerClosed
 from repro.serve.stats import StatsRecorder
 from repro.serve.transport import TransportError, WorkerCrashed
 from repro.serve.worker import WorkerHandle, WorkerSpec

@@ -41,6 +41,9 @@ import numpy as np
 #: drained.  Requests that arrive while the kernel runs still coalesce into
 #: the next micro-batch, so a wider window only delays a lone request.
 DEFAULT_MAX_LATENCY_MS = 0.0
+#: Default coalescing ceiling: enough rows that a full micro-batch amortizes
+#: the per-call overhead down to noise, small enough to keep latency tails low.
+DEFAULT_MAX_BATCH_SIZE = 256
 
 
 class BatcherClosed(RuntimeError):
@@ -108,7 +111,7 @@ class MicroBatcher:
     def __init__(
         self,
         fn: Callable[[np.ndarray], np.ndarray],
-        max_batch_size: int = 256,
+        max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_latency_ms: float = DEFAULT_MAX_LATENCY_MS,
         on_batch: Optional[Callable[[int], None]] = None,
         name: str = "model",

@@ -36,16 +36,18 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, BatcherClosed, MicroBatcher
+from repro.serve.batching import (
+    DEFAULT_MAX_BATCH_SIZE,
+    DEFAULT_MAX_LATENCY_MS,
+    BatcherClosed,
+    MicroBatcher,
+)
 from repro.serve.model import ServedModel, as_feature_array
 from repro.serve.registry import ModelRegistry
 from repro.serve.stats import StatsRecorder
 from repro.serve.transport import MSG_CONTROL, MSG_REQUEST, WorkerCrashed
 from repro.serve.worker import WorkerHandle, WorkerSpec, _Pending
 
-#: Default coalescing ceiling: enough rows that a full micro-batch amortizes
-#: the per-call overhead down to noise, small enough to keep latency tails low.
-DEFAULT_MAX_BATCH_SIZE = 256
 #: How often the frontend heartbeats its workers (seconds).
 DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
 #: Silence (no pong) after which a live-but-hung worker is killed+restarted.

@@ -43,7 +43,11 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, BatcherClosed
+from repro.serve.batching import (
+    DEFAULT_MAX_BATCH_SIZE,
+    DEFAULT_MAX_LATENCY_MS,
+    BatcherClosed,
+)
 from repro.serve.transport import (
     ERROR_CLOSED,
     ERROR_INTERNAL,
@@ -80,7 +84,7 @@ class WorkerSpec:
                    preopen=("redwine/ours",))
     """
 
-    max_batch_size: int = 256
+    max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
     max_latency_ms: float = DEFAULT_MAX_LATENCY_MS
     #: Model lanes opened (training/loading if cold) as the worker boots.
     preopen: Tuple[str, ...] = field(default_factory=tuple)

@@ -161,3 +161,22 @@ class TestRegularisationAndWeights:
         b = LinearSVC(random_state=seed, max_iter=30).fit(X, y)
         assert np.allclose(a.coef_, b.coef_)
         assert a.intercept_ == pytest.approx(b.intercept_)
+
+
+class TestNonFiniteInput:
+    """NaN or infinity in the training data is rejected, not trained on."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_X_rejected(self, bad):
+        X, y = make_blobs()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="X contains"):
+            LinearSVC().fit(X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_weight_rejected(self, bad):
+        X, y = make_blobs()
+        weights = np.ones(len(y))
+        weights[5] = bad
+        with pytest.raises(ValueError, match="sample_weight contains"):
+            LinearSVC().fit(X, y, sample_weight=weights)

@@ -23,6 +23,7 @@ import pytest
 
 import repro
 import repro.perf.native as native
+import repro.toolchain as toolchain_mod
 from repro.hw.rtl.adders import build_ripple_adder_netlist
 from repro.hw.rtl.multipliers import build_array_multiplier_netlist
 from repro.perf.bitsim import evaluator_for, pack_vectors, simulate_netlist_batch
@@ -38,11 +39,10 @@ from repro.perf.engines import (
 )
 from repro.perf.native import (
     NativeEvaluator,
-    Toolchain,
-    find_toolchain,
     generate_c_kernel_source,
     native_available,
 )
+from repro.toolchain import Toolchain, find_toolchain
 
 requires_toolchain = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this host"
@@ -59,14 +59,14 @@ def fresh_caches(tmp_path, monkeypatch):
     mutated environment cannot leak into later tests.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(native, "_SO_CACHE", {})
-    monkeypatch.setattr(native, "_TOOLCHAIN", native._TOOLCHAIN)
+    monkeypatch.setattr(toolchain_mod, "_SO_CACHE", {})
+    monkeypatch.setattr(toolchain_mod, "_TOOLCHAIN", toolchain_mod._TOOLCHAIN)
     monkeypatch.setattr(native, "_WARNED_MISSING", native._WARNED_MISSING)
     return tmp_path
 
 
 def _no_toolchain(monkeypatch):
-    monkeypatch.setattr(native, "find_toolchain", lambda refresh=False: None)
+    monkeypatch.setattr(toolchain_mod, "find_toolchain", lambda refresh=False: None)
     monkeypatch.setattr(native, "_WARNED_MISSING", False)
 
 
@@ -166,7 +166,7 @@ class TestFallback:
 
     def test_available_engines_is_full_tuple_with_toolchain(self, monkeypatch):
         monkeypatch.setattr(
-            native, "find_toolchain", lambda refresh=False: Toolchain("/bin/cc", "x")
+            toolchain_mod, "find_toolchain", lambda refresh=False: Toolchain("/bin/cc", "x")
         )
         assert available_engines() == ENGINES
 
@@ -184,23 +184,23 @@ class TestFallback:
 class TestKernelCache:
     def test_disk_cache_hit_on_second_construction(self, fresh_caches, monkeypatch):
         invocations = []
-        real = native._invoke_compiler
+        real = toolchain_mod._invoke_compiler
 
-        def spy(toolchain, c_path, so_path):
+        def spy(toolchain, c_path, so_path, flags):
             invocations.append(str(so_path))
-            return real(toolchain, c_path, so_path)
+            return real(toolchain, c_path, so_path, flags)
 
-        monkeypatch.setattr(native, "_invoke_compiler", spy)
+        monkeypatch.setattr(toolchain_mod, "_invoke_compiler", spy)
         rng = np.random.default_rng(1)
         netlist = build_ripple_adder_netlist(4)
         vectors = rng.integers(0, 2, size=(90, len(netlist.inputs)))
         first = evaluator_for(netlist, engine="native")
         out_first = first.evaluate(vectors)
         assert len(invocations) == 1
-        assert list(native.kernel_cache_dir().glob("*.so"))
+        assert list(toolchain_mod.kernel_cache_dir().glob("*.so"))
         # Same structure, new netlist object, cold memory cache: the kernel
         # must come off disk without invoking the compiler again.
-        monkeypatch.setattr(native, "_SO_CACHE", {})
+        monkeypatch.setattr(toolchain_mod, "_SO_CACHE", {})
         second = evaluator_for(build_ripple_adder_netlist(4), engine="native")
         out_second = second.evaluate(vectors)
         assert len(invocations) == 1
@@ -210,9 +210,9 @@ class TestKernelCache:
         self, fresh_caches, monkeypatch
     ):
         invocations = []
-        real = native._invoke_compiler
+        real = toolchain_mod._invoke_compiler
         monkeypatch.setattr(
-            native,
+            toolchain_mod,
             "_invoke_compiler",
             lambda *a: (invocations.append(a), real(*a))[1],
         )
@@ -232,7 +232,7 @@ class TestKernelCache:
         vectors = rng.integers(0, 2, size=(50, len(netlist.inputs)))
         stale = evaluator_for(netlist, engine="native")
         stale.evaluate(vectors)
-        n_so_before = len(list(native.kernel_cache_dir().glob("*.so")))
+        n_so_before = len(list(toolchain_mod.kernel_cache_dir().glob("*.so")))
         (inv,) = netlist.add_gate("INV", [netlist.outputs[0]], outputs=["obs"])
         netlist.mark_output(inv)
         fresh = evaluator_for(netlist, engine="native")
@@ -240,7 +240,7 @@ class TestKernelCache:
         reference = evaluator_for(netlist, engine="interp").evaluate(vectors)
         assert np.array_equal(fresh.evaluate(vectors), reference)
         # The mutated structure emits different source, hence a new disk key.
-        assert len(list(native.kernel_cache_dir().glob("*.so"))) > n_so_before
+        assert len(list(toolchain_mod.kernel_cache_dir().glob("*.so"))) > n_so_before
 
     def test_corrupt_disk_entry_is_rebuilt(self, fresh_caches, monkeypatch):
         """A truncated cached kernel is a miss: unlinked, recompiled, loaded.
@@ -249,9 +249,9 @@ class TestKernelCache:
         object this process has loaded would kill it with SIGBUS.
         """
         invocations = []
-        real = native._invoke_compiler
+        real = toolchain_mod._invoke_compiler
         monkeypatch.setattr(
-            native,
+            toolchain_mod,
             "_invoke_compiler",
             lambda *a: (invocations.append(a), real(*a))[1],
         )
@@ -259,7 +259,7 @@ class TestKernelCache:
         evaluator = make_evaluator(compile_netlist(netlist), "native")
         program = evaluator.program
         source = generate_c_kernel_source(program, program.output_slots)
-        so_path = native.kernel_path(source, evaluator.toolchain)
+        so_path = toolchain_mod.kernel_path(source, native.CFLAGS, evaluator.toolchain)
         so_path.parent.mkdir(parents=True)
         so_path.write_bytes(b"")
         vectors = np.random.default_rng(4).integers(0, 2, size=(80, len(netlist.inputs)))
@@ -268,7 +268,7 @@ class TestKernelCache:
         assert len(invocations) == 1
         assert so_path.stat().st_size > 0
         # The healed entry now serves a cold memory cache without compiling.
-        monkeypatch.setattr(native, "_SO_CACHE", {})
+        monkeypatch.setattr(toolchain_mod, "_SO_CACHE", {})
         again = make_evaluator(compile_netlist(netlist), "native")
         assert np.array_equal(again.evaluate(vectors), reference)
         assert len(invocations) == 1
@@ -280,23 +280,23 @@ class TestKernelCache:
         source = generate_c_kernel_source(
             compile_netlist(build_ripple_adder_netlist(2)), [0]
         )
-        so_path = native.kernel_path(source, toolchain)
+        so_path = toolchain_mod.kernel_path(source, native.CFLAGS, toolchain)
         so_path.parent.mkdir(parents=True)
         so_path.write_bytes(b"")
         # The "compiler" publishes another unloadable object.
         monkeypatch.setattr(
-            native,
+            toolchain_mod,
             "_invoke_compiler",
-            lambda toolchain, c_path, out: Path(out).write_bytes(b"not an object"),
+            lambda toolchain, c_path, out, flags: Path(out).write_bytes(b"not an object"),
         )
         with pytest.raises(OSError):
-            native.load_kernel(source, toolchain)
-        assert not native._SO_CACHE
+            toolchain_mod.load_shared(source, native.CFLAGS, toolchain)
+        assert not toolchain_mod._SO_CACHE
 
     def test_compiler_failure_raises_with_stderr(self, fresh_caches):
         toolchain = find_toolchain()
         with pytest.raises(RuntimeError, match="native kernel compilation failed"):
-            native.load_kernel("this is not C;", toolchain)
+            toolchain_mod.load_shared("this is not C;", native.CFLAGS, toolchain)
 
     def test_kernel_source_inspectable_via_evaluator(self, fresh_caches):
         netlist = build_ripple_adder_netlist(2)

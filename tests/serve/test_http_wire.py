@@ -16,7 +16,8 @@ import statistics
 import time
 
 from repro.cli import _serve_parser
-from repro.serve.batching import DEFAULT_MAX_LATENCY_MS, MicroBatcher
+from repro.serve import server as server_module
+from repro.serve.batching import DEFAULT_MAX_BATCH_SIZE, DEFAULT_MAX_LATENCY_MS, MicroBatcher
 from repro.serve.http import _ServingRequestHandler, serve_in_thread
 from repro.serve.server import ModelServer
 from repro.serve.worker import WorkerSpec
@@ -33,6 +34,17 @@ def test_every_layer_defaults_to_one_straggler_window(registry):
         assert server.stats()["max_latency_ms"] == DEFAULT_MAX_LATENCY_MS
     assert WorkerSpec().max_latency_ms == DEFAULT_MAX_LATENCY_MS
     assert _serve_parser().parse_args([]).max_latency_ms == DEFAULT_MAX_LATENCY_MS
+
+
+def test_every_layer_defaults_to_one_batch_ceiling(registry):
+    assert server_module.DEFAULT_MAX_BATCH_SIZE is DEFAULT_MAX_BATCH_SIZE
+    batcher_default = inspect.signature(MicroBatcher).parameters["max_batch_size"]
+    assert batcher_default.default == DEFAULT_MAX_BATCH_SIZE
+    with ModelServer(registry) as server:
+        assert server.max_batch_size == DEFAULT_MAX_BATCH_SIZE
+        assert server.stats()["max_batch_size"] == DEFAULT_MAX_BATCH_SIZE
+    assert WorkerSpec().max_batch_size == DEFAULT_MAX_BATCH_SIZE
+    assert _serve_parser().parse_args([]).max_batch_size == DEFAULT_MAX_BATCH_SIZE
 
 
 def test_keep_alive_single_predicts_skip_the_delayed_ack(registry, request_rows):
