@@ -8,7 +8,7 @@ Usage (from the repo root)::
     PYTHONPATH=src python scripts/bench_simulation.py --compare # diff, no write
 
 Records samples/s for the vectorized datapath simulators, gate-evals/s for
-every execution engine (``interp`` / ``fused`` / ``codegen``) and a
+every execution engine (``interp`` / ``codegen`` / ``native``) and a
 roofline section relating each engine to the measured memcpy bandwidth,
 next to the per-path speedup over the interpreted seed implementation.
 The perf-smoke benchmark (``pytest benchmarks/test_perf_simulation.py``)

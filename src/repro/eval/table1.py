@@ -178,7 +178,7 @@ def generate_table1(
         (rendered by :func:`format_table1_optimization`).
     engine:
         Bit-parallel execution engine used by the gate-level verification
-        sweeps (``'interp'``, ``'fused'``, ``'codegen'``, ``'native'`` or
+        sweeps (``'interp'``, ``'codegen'``, ``'native'`` or
         ``'auto'`` — see :mod:`repro.perf.engines`; ``'native'`` degrades
         to ``'codegen'`` on hosts without a C toolchain).  All engines are
         bit-exact; this only trades verification wall-clock.

@@ -214,9 +214,14 @@ class GateNetlist:
     #: Instances absent from the map reset to 0.
     dff_init: Dict[str, int] = field(default_factory=dict)
     _net_drivers: Dict[str, str] = field(default_factory=dict)
-    _instance_names: set = field(default_factory=set)
-    #: Lazily-built (signature, gate-by-name map, fanout counter) caches so
-    #: driver_of / fanout_of are O(1) instead of scanning every gate.
+    #: Every instance by name, kept current by the builder and by
+    #: :meth:`note_structural_change`, so :meth:`bind_dff` and
+    #: :meth:`driver_of` find a gate without rebuilding anything.
+    _gate_by_name: Dict[str, GateInstance] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: Lazily-built (signature, fanout counter) cache so fanout_of is O(1)
+    #: instead of scanning every gate.
     _index_cache: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -261,7 +266,7 @@ class GateNetlist:
         """Instantiate a cell; returns the names of its output nets."""
         index = len(self.gates)
         inst_name = name or f"u{index}"
-        if inst_name in self._instance_names:
+        if inst_name in self._gate_by_name:
             raise ValueError(f"duplicate instance name {inst_name!r}")
         for net in inputs:
             if net not in self._net_drivers and net not in (
@@ -281,7 +286,7 @@ class GateNetlist:
             name=inst_name, cell=cell, inputs=tuple(inputs), outputs=tuple(outputs)
         )
         self.gates.append(gate)
-        self._instance_names.add(inst_name)
+        self._gate_by_name[inst_name] = gate
         self._structure_version += 1
         return gate.outputs
 
@@ -303,14 +308,14 @@ class GateNetlist:
         """
         index = len(self.gates)
         inst_name = name or f"u{index}"
-        if inst_name in self._instance_names:
+        if inst_name in self._gate_by_name:
             raise ValueError(f"duplicate instance name {inst_name!r}")
         if q in self._net_drivers:
             raise ValueError(f"net {q!r} already driven by {self._net_drivers[q]!r}")
         self._net_drivers[q] = inst_name
         gate = GateInstance(name=inst_name, cell=cell, inputs=(), outputs=(q,))
         self.gates.append(gate)
-        self._instance_names.add(inst_name)
+        self._gate_by_name[inst_name] = gate
         if init:
             self.dff_init[inst_name] = 1
         self._structure_version += 1
@@ -321,15 +326,13 @@ class GateNetlist:
         driver = self._net_drivers.get(q)
         if driver in (None, "<primary-input>"):
             raise ValueError(f"net {q!r} is not driven by a flip-flop")
-        gate_by_name, _ = self._indices()
-        gate = gate_by_name[driver]
+        gate = self._gate_by_name[driver]
         if gate.inputs:
             raise ValueError(f"flip-flop {gate.name!r} is already bound")
         if d not in self._net_drivers and d not in (self.CONST_ZERO, self.CONST_ONE):
             raise ValueError(f"flip-flop {gate.name!r} reads undriven net {d!r}")
         gate.inputs = (d,)
         self._structure_version += 1
-        self._index_cache = None
 
     def add_dff(
         self, d: str, q: str, name: Optional[str] = None, init: int = 0
@@ -361,17 +364,16 @@ class GateNetlist:
         replacing a gate's cell, rewiring pins, dropping gates.  Calling this
         afterwards rebuilds the derived driver/instance maps from the current
         structure and bumps the structure version, which invalidates every
-        version-keyed cache (index maps, compiled programs, optimized
+        version-keyed cache (the fanout map, compiled programs, optimized
         netlists) even when the mutation left all the counts unchanged.
         """
         self._structure_version += 1
-        self._index_cache = None
         drivers: Dict[str, str] = {net: "<primary-input>" for net in self.inputs}
         for gate in self.gates:
             for net in gate.outputs:
                 drivers[net] = gate.name
         self._net_drivers = drivers
-        self._instance_names = {gate.name for gate in self.gates}
+        self._gate_by_name = {gate.name: gate for gate in self.gates}
 
     @staticmethod
     def _n_outputs_of(cell: str) -> int:
@@ -408,32 +410,29 @@ class GateNetlist:
             len(self.outputs),
         )
 
-    def _indices(self) -> tuple:
-        """Precomputed (gate-by-name, fanout-count) maps, version-invalidated."""
+    def _indices(self) -> Counter:
+        """Precomputed fanout-count map, version-invalidated."""
         signature = self.structural_signature()
         if self._index_cache is not None and self._index_cache[0] == signature:
-            return self._index_cache[1], self._index_cache[2]
-        gate_by_name = {gate.name: gate for gate in self.gates}
+            return self._index_cache[1]
         fanout: Counter = Counter()
         for gate in self.gates:
             fanout.update(gate.inputs)
         for net in self.outputs:
             fanout[net] += 1
-        self._index_cache = (signature, gate_by_name, fanout)
-        return gate_by_name, fanout
+        self._index_cache = (signature, fanout)
+        return fanout
 
     def driver_of(self, net: str) -> Optional[GateInstance]:
         """The gate driving ``net`` (None for primary inputs / constants)."""
         driver = self._net_drivers.get(net)
         if driver in (None, "<primary-input>"):
             return None
-        gate_by_name, _ = self._indices()
-        return gate_by_name.get(driver)
+        return self._gate_by_name.get(driver)
 
     def fanout_of(self, net: str) -> int:
         """Number of gate inputs the net drives (plus 1 if it is an output)."""
-        _, fanout = self._indices()
-        return int(fanout.get(net, 0))
+        return int(self._indices().get(net, 0))
 
     def to_block(self, name: Optional[str] = None, library: Optional[CellLibrary] = None) -> HardwareBlock:
         """Collapse the explicit netlist into a :class:`HardwareBlock`.

@@ -449,6 +449,10 @@ def verify_sequential_svm_netlist(
     if not isinstance(oracle, SequentialDatapathSimulator):
         raise TypeError("oracle must be a SequentialDatapathSimulator")
     cycles = ports.n_classifiers
+    if oracle.n_classifiers != cycles:
+        raise ValueError(
+            f"oracle has {oracle.n_classifiers} classifiers, the netlist {cycles}"
+        )
     n_samples = codes.shape[0]
     trace = simulate_sequential_batch(
         netlist,
@@ -460,15 +464,16 @@ def verify_sequential_svm_netlist(
     )
     # Stack the oracle traces into (cycles, n_samples) planes once, then
     # decode each cycle's buses for the whole batch in one vectorized call.
-    expected = np.zeros((4, cycles, n_samples), dtype=np.int64)
-    for s in range(n_samples):
-        for t, step in enumerate(oracle.run(codes[s]).trace):
-            expected[:, t, s] = (
-                step.score,
-                step.best_score,
-                step.best_class,
-                int(step.comparator_fired),
-            )
+    steps = [
+        (step.score, step.best_score, step.best_class, int(step.comparator_fired))
+        for s in range(n_samples)
+        for step in oracle.run(codes[s]).trace
+    ]
+    expected = (
+        np.asarray(steps, dtype=np.int64)
+        .reshape(n_samples, cycles, 4)
+        .transpose(2, 1, 0)
+    )
     for t in range(cycles):
         plane = trace[t]
         if not (

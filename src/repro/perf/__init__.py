@@ -14,15 +14,15 @@ that with a two-stage compile -> bitsim pipeline:
   test vectors are packed per ``uint64`` word and every op is one numpy
   bitwise kernel, so a sweep costs ``O(gates * vectors / 64)`` instead of
   ``O(gates * vectors)`` interpreted steps.
-* :mod:`repro.perf.engines` — fused and code-generating execution backends
-  behind one ``engine='interp'|'fused'|'codegen'|'native'|'auto'``
-  selector: ``fused`` levelizes the op stream and executes one
-  gather/op/scatter per (layer, opcode) group; ``codegen`` emits the whole
-  cone as one generated, ``compile()``d Python function (cached per netlist
-  structure) that runs on numpy words or whole-row Python bigints depending
-  on batch size.  All are bit-exact vs ``interp``; the selector threads
-  through :func:`~repro.perf.bitsim.evaluator_for`, the sequential engine,
-  the benchmarks and the ``repro-table1 --engine`` flag.
+* :mod:`repro.perf.engines` — code-generating execution backends behind
+  one ``engine='interp'|'codegen'|'native'|'auto'`` selector: ``codegen``
+  emits the whole cone as one generated, ``compile()``d Python function
+  (cached per netlist structure) that runs on numpy words or whole-row
+  Python bigints depending on batch size; ``auto`` interprets a cone's
+  live ops for its first calls and compiles only once the cone has run
+  often enough to pay for it.  All are bit-exact vs ``interp``; the
+  selector threads through :func:`~repro.perf.bitsim.evaluator_for`, the
+  sequential engine, the benchmarks and the ``repro-table1 --engine`` flag.
 * :mod:`repro.perf.native` — the ``native`` engine: the same planned kernel
   emitted as C, compiled with the system toolchain (``-O2 -fPIC -shared``)
   into a shared object called through ``ctypes`` (which releases the GIL,
@@ -76,11 +76,9 @@ from repro.perf.compile import CompiledProgram, compile_netlist
 from repro.perf.engines import (
     ENGINES,
     CodegenEvaluator,
-    FusedEvaluator,
     KernelPlan,
     available_engines,
     generate_kernel_source,
-    levelize,
     make_evaluator,
     plan_kernel,
     resolve_engine,
@@ -102,7 +100,6 @@ __all__ = [
     "CodegenEvaluator",
     "CompiledProgram",
     "ENGINES",
-    "FusedEvaluator",
     "KernelPlan",
     "NativeEvaluator",
     "SequentialEvaluator",
@@ -114,7 +111,6 @@ __all__ = [
     "find_toolchain",
     "generate_c_kernel_source",
     "generate_kernel_source",
-    "levelize",
     "make_evaluator",
     "native_available",
     "pack_vectors",

@@ -20,7 +20,7 @@ tracked PR over PR:
   multiplier), plus the simulation speedup of evaluating the optimized
   program and a random-vector equivalence check.
 * **roofline** — gate-evals/s of every execution engine (``interp`` /
-  ``fused`` / ``codegen`` / ``native`` where a C toolchain exists, see
+  ``codegen`` / ``native`` where a C toolchain exists, see
   :mod:`repro.perf.engines` and :mod:`repro.perf.native`) against a
   measured memcpy-bandwidth baseline, locating each engine between
   dispatch-limited and machine-limited, plus a ``native`` thread-scaling
@@ -62,7 +62,7 @@ from repro.hw.simulate import (
     simulate_sequential_reference,
 )
 from repro.perf.bitsim import evaluator_for
-from repro.perf.engines import available_engines
+from repro.perf.engines import TIER_UP_CALLS, available_engines
 from repro.perf.seqsim import sequential_evaluator_for
 
 
@@ -190,8 +190,8 @@ def benchmark_gate_level(
 ) -> Dict[str, Dict[str, float]]:
     """Compiled bit-parallel sweeps vs the interpreted per-gate reference.
 
-    Every concrete execution engine (``interp``, ``fused``, ``codegen``,
-    plus ``native`` where a toolchain exists) is timed on each workload and
+    Every concrete execution engine (``interp``, ``codegen``, plus
+    ``native`` where a toolchain exists) is timed on each workload and
     checked bit-exact against the interp sweep.  The
     historical ``bitsim_gate_evals_per_s`` / ``speedup`` keys keep their
     meaning (interp engine, full ``evaluate`` including pack/unpack, vs the
@@ -291,6 +291,12 @@ def benchmark_sequential(
     :func:`~repro.hw.simulate.simulate_sequential_reference` (per-gate dict
     walk, one vector at a time).  Records cycle-evals/s (vectors x cycles
     per second) and the speedup.
+
+    The headline side runs the production default, ``engine='auto'``,
+    whose cone runs interpreted until it tiers up
+    (:data:`~repro.perf.engines.TIER_UP_CALLS` calls);
+    ``auto_engine_tiers_up`` records that its cone compiled a kernel exactly
+    when it had run more calls than that.
     """
     rng = np.random.default_rng(seed)
     results: Dict[str, Dict[str, float]] = {}
@@ -307,6 +313,13 @@ def benchmark_sequential(
         # The headline evaluator uses engine='auto' — the production default
         # — so the recorded seqsim numbers improve as the cone engine does.
         evaluator = sequential_evaluator_for(netlist)
+        auto_runs = 0
+
+        def _auto_run() -> np.ndarray:
+            nonlocal auto_runs
+            auto_runs += 1
+            return evaluator.run(vectors, cycles=cycles)
+
         engine_evaluators = {
             e: sequential_evaluator_for(netlist, engine=e)
             for e in _concrete_engines()
@@ -315,15 +328,13 @@ def benchmark_sequential(
             [simulate_sequential_reference(netlist, row, cycles) for row in rows],
             axis=1,
         )
-        equivalent = bool(
-            np.array_equal(evaluator.run(vectors, cycles=cycles), reference)
-        )
+        equivalent = bool(np.array_equal(_auto_run(), reference))
         engines_equivalent = all(
             np.array_equal(ev.run(vectors, cycles=cycles), reference)
             for ev in engine_evaluators.values()
         )
         t_ref = _time(_interpreted, repeats=3)
-        t_fast = _time(lambda: evaluator.run(vectors, cycles=cycles), repeats=3)
+        t_fast = _time(_auto_run, repeats=3)
         t_engine = {
             e: _time(lambda ev=ev: ev.run(vectors, cycles=cycles), repeats=3)
             for e, ev in engine_evaluators.items()
@@ -344,10 +355,17 @@ def benchmark_sequential(
             if e != "interp":
                 record[f"{e}_speedup_vs_interp"] = t_engine["interp"] / t_engine[e]
         record["interp_cycle_evals_per_s"] = cycle_evals / t_engine["interp"]
-        results[name] = record
-        results[name]["auto_engine_is_codegen"] = (
-            1.0 if evaluator.engine == "codegen" else 0.0
+        cone = evaluator._cone
+        compiled = evaluator._result_slots in cone._kernels
+        record["auto_cone_calls"] = float(auto_runs * cycles)
+        record["auto_engine_tiers_up"] = (
+            1.0
+            if evaluator.engine == "auto"
+            and cone.tier_up_calls == TIER_UP_CALLS
+            and compiled == (auto_runs * cycles > TIER_UP_CALLS)
+            else 0.0
         )
+        results[name] = record
     return results
 
 
@@ -359,7 +377,7 @@ def measure_memcpy_bandwidth(n_bytes: int = 16 * 1024 * 1024) -> float:
 
     The machine-roofline baseline: a straight copy of a buffer that outgrows
     the L2 cache is as fast as any 1 byte in / 1 byte out streaming kernel
-    can go, which is exactly the shape of a fully fused bitwise op sweep.
+    can go, which is exactly the shape of a straight-line bitwise op sweep.
     """
     src = np.ones(n_bytes // 8, dtype=np.uint64)
     dst = np.empty_like(src)

@@ -89,6 +89,26 @@ def unpack_vectors(packed: np.ndarray, n_vectors: int) -> np.ndarray:
     return bits.reshape(n_lines, -1).T[:n_vectors].astype(np.int64)
 
 
+def op_tuples(program: CompiledProgram) -> List[Tuple[int, int, int, int, int]]:
+    """The program's op stream as plain-int ``(opcode, a, b, c, dst)`` tuples.
+
+    Every Python-level walk of a program (the evaluators, the liveness pass
+    of :mod:`repro.perf.engines`) runs on these: one ``.tolist()`` per array
+    instead of five numpy scalar reads per op.
+
+    Example::
+
+        op_tuples(compile_netlist(netlist))[0]   # e.g. (2, 2, 3, 0, 4)
+    """
+    return list(
+        zip(
+            program.opcodes.tolist(),
+            *program.operands.T.tolist(),
+            program.dsts.tolist(),
+        )
+    )
+
+
 class BitParallelEvaluator:
     """Executes a :class:`CompiledProgram` on packed ``uint64`` vector words.
 
@@ -100,19 +120,9 @@ class BitParallelEvaluator:
 
     def __init__(self, program: CompiledProgram) -> None:
         self.program = program
-        # Pre-materialise the op stream as plain Python ints: the evaluation
-        # loop is the hot path and repeated numpy scalar extraction would
-        # dominate it.
-        self._ops: List[Tuple[int, int, int, int, int]] = [
-            (
-                int(program.opcodes[k]),
-                int(program.operands[k, 0]),
-                int(program.operands[k, 1]),
-                int(program.operands[k, 2]),
-                int(program.dsts[k]),
-            )
-            for k in range(program.n_ops)
-        ]
+        # The op stream as plain Python ints: the evaluation loop is the hot
+        # path and repeated numpy scalar extraction would dominate it.
+        self._ops = op_tuples(program)
 
     # ------------------------------------------------------------------ #
     def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
@@ -261,7 +271,7 @@ def evaluator_for(
 
     ``opt_level`` selects the :mod:`repro.hw.opt` pipeline level the program
     is compiled at (0 = raw netlist, the oracle); ``engine`` selects the
-    execution engine (``'interp'``, ``'fused'``, ``'codegen'`` or
+    execution engine (``'interp'``, ``'codegen'``, ``'native'`` or
     ``'auto'`` — see :mod:`repro.perf.engines`).  Evaluators are cached per
     compiled program *and* resolved engine, so alternating between levels or
     engines does not rewrap, and any structural mutation of the netlist
@@ -277,7 +287,7 @@ def evaluator_for(
 
     library = library or EGFET_PDK
     program = compile_netlist(netlist, library, opt_level=opt_level)
-    resolved = resolve_engine(engine, program)
+    resolved = resolve_engine(engine)
     cache = getattr(netlist, "_bitsim_evaluator_cache", None)
     if not isinstance(cache, dict):
         cache = {}

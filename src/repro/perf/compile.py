@@ -72,9 +72,9 @@ OPCODE_NAMES = {
 }
 
 #: Number of operand slots each primitive op actually reads (trailing unused
-#: operand columns are always 0 / ``SLOT_ZERO``).  The levelizer, the fused
-#: executor and the disassembler all consult this instead of guessing from
-#: the operand columns.
+#: operand columns are always 0 / ``SLOT_ZERO``).  The liveness pass of the
+#: code-generating engines and the disassembler consult this instead of
+#: guessing from the operand columns.
 OP_ARITY = {
     OP_BUF: 1,
     OP_NOT: 1,

@@ -1,21 +1,11 @@
-"""Fused and code-generating execution engines for compiled netlist programs.
+"""Code-generating execution engines for compiled netlist programs.
 
 :class:`~repro.perf.bitsim.BitParallelEvaluator` (the ``interp`` engine)
 issues one numpy dispatch per gate op, so the sub-200-gate netlists behind
 Table I are dispatch-bound: each ``state[dst] = state[a] & state[b]`` costs
 far more in ufunc dispatch than in actual 64-bit word work.  This module
 provides drop-in replacements that execute the *same*
-:class:`~repro.perf.compile.CompiledProgram` bit-exactly while paying that
-overhead once per group — or not at all:
-
-``fused``
-    Levelize the flat op stream into topological layers, group each layer by
-    opcode, and execute each group as one vectorized gather -> op -> scatter
-    over an ``(n_ops_in_group, n_words)`` operand matrix.  Slots are
-    renumbered so every group writes one contiguous block of the state
-    matrix, letting each group land with ``out=`` into a state slice.  One
-    numpy dispatch per (layer, opcode) instead of per op; wins grow with
-    netlist width (ops per layer).
+:class:`~repro.perf.compile.CompiledProgram` bit-exactly:
 
 ``codegen``
     Emit the whole cone as one generated Python function of chained bitwise
@@ -41,12 +31,17 @@ overhead once per group — or not at all:
     object called through ``ctypes`` — which releases the GIL, so large
     batches shard the word axis across a small persistent thread pool.
     On hosts with no C compiler, ``native`` degrades to ``codegen`` with a
-    one-time warning (``auto`` never selects ``native``).
+    one-time warning.
 
-``auto`` picks ``codegen`` for program sizes where one generated function is
-compilable and fastest, and falls back to ``fused`` for very large programs
-(CPython's compiler and the per-structure compile cost scale with program
-size; gather/scatter amortizes better there).
+``auto``
+    ``codegen`` with an interpreted first tier, the way a JIT tiers up: a
+    slot tuple runs through one loop over its live ops (domain-neutral
+    like the generated source, no source text, no ``compile()``) for its
+    first :data:`TIER_UP_CALLS` bigint-domain calls, and is compiled at the
+    next one.  A verification clocks a cone a handful of times, far fewer
+    than the calls it takes to pay back a compile; a numpy-domain call
+    compiles at once.  ``auto`` never selects ``native``: a cold ``gcc``
+    per cone costs more than a whole verification.
 
 All engines subclass :class:`BitParallelEvaluator`, so the scalar
 ``evaluate_single`` fast path and the packed API are shared, and all are
@@ -64,11 +59,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf.bitsim import BitParallelEvaluator, _ALL_ONES
+from repro.perf.bitsim import BitParallelEvaluator, _ALL_ONES, op_tuples
 from repro.perf.compile import (
     OP_AND2,
     OP_AND3,
@@ -88,7 +83,7 @@ from repro.perf.compile import (
 )
 
 #: The recognised engine names, in documentation order.
-ENGINES = ("interp", "fused", "codegen", "native", "auto")
+ENGINES = ("interp", "codegen", "native", "auto")
 
 
 def _env_int(name: str, default: int, minimum: int = 0) -> int:
@@ -113,13 +108,6 @@ def _env_int(name: str, default: int, minimum: int = 0) -> int:
     return value
 
 
-#: ``auto`` resolves to ``codegen`` up to this many ops, ``fused`` beyond.
-#: Generated-function compile time and bytecode size grow linearly with the
-#: program; past a few thousand ops the per-structure compile stops paying
-#: for itself and gather/scatter fusion amortizes better.  Overridable via
-#: ``$REPRO_AUTO_CODEGEN_MAX_OPS`` (read once at import).
-AUTO_CODEGEN_MAX_OPS = _env_int("REPRO_AUTO_CODEGEN_MAX_OPS", 20_000, minimum=1)
-
 #: The codegen engine runs on Python bigints (one arbitrary-precision int
 #: per net row) up to this many words per row, and on numpy arrays beyond.
 #: Measured crossover on the 45-gate array multiplier: bigints win ~10x at
@@ -127,26 +115,27 @@ AUTO_CODEGEN_MAX_OPS = _env_int("REPRO_AUTO_CODEGEN_MAX_OPS", 20_000, minimum=1)
 #: via ``$REPRO_BIGINT_MAX_WORDS`` (read once at import; 0 forces numpy).
 BIGINT_MAX_WORDS = _env_int("REPRO_BIGINT_MAX_WORDS", 256, minimum=0)
 
+#: Under ``engine='auto'`` a slot tuple runs interpreted for this many
+#: bigint-domain calls and is compiled at the next one.  On the Table I
+#: cones a compile pays for itself only after ~50-280 calls (the
+#: break-even table in ``docs/performance.md``); a verification makes 3-10.
+TIER_UP_CALLS = 64
 
-def resolve_engine(engine: str, program: CompiledProgram) -> str:
-    """Resolve an ``engine=`` argument to a concrete engine name.
 
-    ``auto`` picks ``codegen`` for programs up to
-    :data:`AUTO_CODEGEN_MAX_OPS` ops and ``fused`` beyond — never
-    ``native``, which must be requested explicitly.  ``native`` resolves to
-    itself only when a C toolchain is present; otherwise it degrades to
-    ``codegen`` with a one-time warning, so the engine-keyed evaluator
-    caches naturally share the fallback instance.  The concrete names pass
-    through.  Unknown names raise ``ValueError``.
+def resolve_engine(engine: str) -> str:
+    """Resolve an ``engine=`` argument to the engine that will run.
+
+    ``native`` resolves to itself only when a C toolchain is present;
+    otherwise it degrades to ``codegen`` with a one-time warning, so the
+    engine-keyed evaluator caches naturally share the fallback instance.
+    The other names pass through.  Unknown names raise ``ValueError``.
 
     Example::
 
-        resolve_engine("auto", compile_netlist(netlist))   # 'codegen'
+        resolve_engine("auto")               # 'auto'
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "auto":
-        return "codegen" if program.n_ops <= AUTO_CODEGEN_MAX_OPS else "fused"
     if engine == "native":
         from repro.perf import native as native_mod
 
@@ -170,231 +159,32 @@ def available_engines() -> Tuple[str, ...]:
     return tuple(e for e in ENGINES if e != "native")
 
 
-def levelize(program: CompiledProgram) -> List[List[int]]:
-    """Topological layers of a program's op stream.
+def live_ops(
+    ops: Sequence[Tuple[int, int, int, int, int]], slots: Sequence[int]
+) -> List[Tuple[int, int, int, int, int]]:
+    """The ops ``slots`` transitively read, in program order.
 
-    Returns a list of layers, each a list of op indices whose operands are
-    all produced in earlier layers (or are constants / primary inputs).
-    Layer ``k`` therefore only depends on layers ``< k``, so all ops inside
-    one layer can execute in any order — the basis of super-op fusion.
-
-    Example::
-
-        layers = levelize(compile_netlist(netlist))
-        sum(len(l) for l in layers) == compile_netlist(netlist).n_ops
+    Backward liveness over ``(opcode, a, b, c, dst)`` tuples (see
+    :func:`~repro.perf.bitsim.op_tuples`): an op whose destination no
+    requested slot needs is dropped, so a kernel for a narrow slot tuple
+    computes only that cone.  Shared by :func:`plan_kernel` and the
+    interpreted tier.
     """
-    level_of_slot = [0] * program.n_slots
-    opcodes = program.opcodes.tolist()
-    operands = program.operands.tolist()
-    dsts = program.dsts.tolist()
-    layers: List[List[int]] = []
-    for k in range(program.n_ops):
-        a, b, c = operands[k]
-        arity = OP_ARITY[opcodes[k]]
-        level = level_of_slot[a]
-        if arity > 1 and level_of_slot[b] > level:
-            level = level_of_slot[b]
-        if arity > 2 and level_of_slot[c] > level:
-            level = level_of_slot[c]
-        level_of_slot[dsts[k]] = level + 1
-        while len(layers) <= level:
-            layers.append([])
-        layers[level].append(k)
-    return layers
-
-
-# --------------------------------------------------------------------------- #
-# Fused gather -> op -> scatter execution
-# --------------------------------------------------------------------------- #
-class FusedEvaluator(BitParallelEvaluator):
-    """Executes a program as one numpy dispatch per (layer, opcode) group.
-
-    Construction levelizes the program, groups each layer by opcode and
-    renumbers slots so each group's destinations form one contiguous block:
-    execution gathers the group's operands with a single fancy index,
-    applies the bitwise op over the whole ``(n_ops_in_group, n_words)``
-    matrix and writes straight into the state slice with ``out=``.
-    Single-op groups skip the gather and run like the interpreter.
-
-    The state matrix and the per-group gather buffers are *scratch*,
-    allocated once per distinct ``n_words`` and reused across calls (every
-    destination row is fully rewritten each run, so no zeroing is needed
-    between calls; what escapes the evaluator is always a fancy-index copy,
-    never a view of the scratch).  Consequence: one ``FusedEvaluator``
-    instance is **not safe for concurrent calls from multiple threads** —
-    which matches how the evaluator caches hand instances out (one per
-    netlist structure, used from the single simulation thread).  Scratch is
-    keyed by batch width and bounded to a few widths; evaluator instances
-    themselves are retired on structural mutation, taking the scratch along.
-
-    Bit-exact vs the interp engine by construction (same SSA program, only
-    the execution schedule changes).
-
-    Example::
-
-        out = FusedEvaluator(compile_netlist(netlist)).evaluate(vectors)
-    """
-
-    #: Distinct batch widths whose scratch is kept before the pool resets.
-    _MAX_SCRATCH_WIDTHS = 4
-
-    def __init__(self, program: CompiledProgram) -> None:
-        super().__init__(program)
-        opcodes = program.opcodes.tolist()
-        operands = program.operands.tolist()
-        dsts = program.dsts.tolist()
-        # Renumber: constants keep 0/1, inputs become 2..2+n_inputs-1, then
-        # destinations in execution order so each group is contiguous.
-        perm = np.full(program.n_slots, -1, dtype=np.int64)
-        perm[SLOT_ZERO] = SLOT_ZERO
-        perm[SLOT_ONE] = SLOT_ONE
-        next_slot = 2
-        for s in program.input_slots.tolist():
-            perm[s] = next_slot
-            next_slot += 1
-        plan: List[Tuple[int, List[int]]] = []
-        for layer in levelize(program):
-            by_opcode: Dict[int, List[int]] = {}
-            for k in layer:
-                by_opcode.setdefault(opcodes[k], []).append(k)
-            for opcode in sorted(by_opcode):
-                plan.append((opcode, by_opcode[opcode]))
-        for _, ks in plan:
-            for k in ks:
-                perm[dsts[k]] = next_slot
-                next_slot += 1
-        assert next_slot == program.n_slots and int(perm.min()) >= 0
-        # Each group: (opcode, gather_index|None, n_ops, dst_lo, a, b, c)
-        # where a/b/c are the renumbered direct operands of single-op groups.
-        groups = []
-        for opcode, ks in plan:
-            size = len(ks)
-            lo = int(perm[dsts[ks[0]]])
-            if size == 1:
-                a, b, c = operands[ks[0]]
-                groups.append(
-                    (opcode, None, 1, lo, int(perm[a]), int(perm[b]), int(perm[c]))
-                )
-            else:
-                cols: List[int] = []
-                for i in range(OP_ARITY[opcode]):
-                    cols.extend(int(perm[operands[k][i]]) for k in ks)
-                gather = np.asarray(cols, dtype=np.intp)
-                groups.append((opcode, gather, size, lo, 0, 0, 0))
-        self._perm = perm
-        self._groups = groups
-        # n_words -> (state matrix, per-group gather buffers), reused across
-        # calls; see the class docstring for the thread-safety contract.
-        self._scratch: Dict[int, Tuple[np.ndarray, List[Optional[np.ndarray]]]] = {}
-
-    # ------------------------------------------------------------------ #
-    def _run(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Execute all groups; returns the state in *renumbered* slot order."""
-        program = self.program
-        packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
-        if packed_inputs.ndim != 2 or packed_inputs.shape[0] != program.n_inputs:
-            raise ValueError(
-                f"expected packed inputs of shape ({program.n_inputs}, n_words), "
-                f"got {packed_inputs.shape}"
-            )
-        n_words = packed_inputs.shape[1]
-        scratch = self._scratch.get(n_words)
-        if scratch is None:
-            if len(self._scratch) >= self._MAX_SCRATCH_WIDTHS:
-                self._scratch.clear()
-            state = np.zeros((program.n_slots, n_words), dtype=np.uint64)
-            state[SLOT_ONE] = _ALL_ONES
-            bufs: List[Optional[np.ndarray]] = [
-                None
-                if gather is None
-                else np.empty((gather.size, n_words), dtype=np.uint64)
-                for _, gather, *_ in self._groups
-            ]
-            self._scratch[n_words] = scratch = (state, bufs)
-        state, bufs = scratch
-        if program.n_inputs:
-            state[2 : 2 + program.n_inputs] = packed_inputs
-        for group_index, (opcode, gather, size, lo, a, b, c) in enumerate(
-            self._groups
-        ):
-            if size == 1:
-                if opcode == OP_AND2:
-                    state[lo] = state[a] & state[b]
-                elif opcode == OP_XOR2:
-                    state[lo] = state[a] ^ state[b]
-                elif opcode == OP_OR2:
-                    state[lo] = state[a] | state[b]
-                elif opcode == OP_NOT:
-                    state[lo] = ~state[a]
-                elif opcode == OP_BUF:
-                    state[lo] = state[a]
-                elif opcode == OP_MUX2:
-                    sel = state[c]
-                    state[lo] = (state[b] & sel) | (state[a] & ~sel)
-                elif opcode == OP_NAND2:
-                    state[lo] = ~(state[a] & state[b])
-                elif opcode == OP_NOR2:
-                    state[lo] = ~(state[a] | state[b])
-                elif opcode == OP_XNOR2:
-                    state[lo] = ~(state[a] ^ state[b])
-                elif opcode == OP_AND3:
-                    state[lo] = state[a] & state[b] & state[c]
-                elif opcode == OP_OR3:
-                    state[lo] = state[a] | state[b] | state[c]
-                else:  # pragma: no cover - compiler emits only known opcodes
-                    raise RuntimeError(f"unknown opcode {opcode}")
-                continue
-            # Multi-op group: one gather into the group's preallocated
-            # scratch buffer (a copy, so out= below can never alias it),
-            # one vectorized op, one contiguous store.
-            buf = bufs[group_index]
-            np.take(state, gather, axis=0, out=buf)
-            dst = state[lo : lo + size]
-            if opcode == OP_AND2:
-                np.bitwise_and(buf[:size], buf[size:], out=dst)
-            elif opcode == OP_XOR2:
-                np.bitwise_xor(buf[:size], buf[size:], out=dst)
-            elif opcode == OP_OR2:
-                np.bitwise_or(buf[:size], buf[size:], out=dst)
-            elif opcode == OP_NOT:
-                np.invert(buf, out=dst)
-            elif opcode == OP_BUF:
-                np.copyto(dst, buf)
-            elif opcode == OP_MUX2:
-                av, bv, sel = buf[:size], buf[size : 2 * size], buf[2 * size :]
-                np.bitwise_and(bv, sel, out=bv)
-                np.invert(sel, out=sel)
-                np.bitwise_and(av, sel, out=av)
-                np.bitwise_or(bv, av, out=dst)
-            elif opcode == OP_NAND2:
-                np.bitwise_and(buf[:size], buf[size:], out=dst)
-                np.invert(dst, out=dst)
-            elif opcode == OP_NOR2:
-                np.bitwise_or(buf[:size], buf[size:], out=dst)
-                np.invert(dst, out=dst)
-            elif opcode == OP_XNOR2:
-                np.bitwise_xor(buf[:size], buf[size:], out=dst)
-                np.invert(dst, out=dst)
-            elif opcode == OP_AND3:
-                np.bitwise_and(buf[:size], buf[size : 2 * size], out=dst)
-                np.bitwise_and(dst, buf[2 * size :], out=dst)
-            elif opcode == OP_OR3:
-                np.bitwise_or(buf[:size], buf[size : 2 * size], out=dst)
-                np.bitwise_or(dst, buf[2 * size :], out=dst)
-            else:  # pragma: no cover - compiler emits only known opcodes
-                raise RuntimeError(f"unknown opcode {opcode}")
-        return state
-
-    def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Full slot state in *original* slot order — same contract as interp."""
-        return self._run(packed_inputs)[self._perm]
-
-    def evaluate_packed_slots(
-        self, packed_inputs: np.ndarray, slots: Sequence[int]
-    ) -> np.ndarray:
-        """Packed rows for the requested original-program slots."""
-        slots = np.asarray(slots, dtype=np.int64)
-        return self._run(packed_inputs)[self._perm[slots]]
+    live = set(slots)
+    kept = []
+    for op in reversed(ops):
+        opcode, a, b, c, dst = op
+        if dst not in live:
+            continue
+        kept.append(op)
+        live.add(a)
+        arity = OP_ARITY[opcode]
+        if arity > 1:
+            live.add(b)
+        if arity > 2:
+            live.add(c)
+    kept.reverse()
+    return kept
 
 
 # --------------------------------------------------------------------------- #
@@ -461,10 +251,11 @@ class KernelPlan:
 def plan_kernel(program: CompiledProgram, slots: Sequence[int]) -> KernelPlan:
     """Liveness/inlining analysis shared by the Python and C code emitters.
 
-    Backward liveness from the requested ``slots`` drops dead ops before any
-    text is produced; ops feeding a single consumer are inlined into their
-    use site (bounded by :data:`_MAX_INLINE_DEPTH` so parsers survive long
-    ripple chains); multi-use ops become ``v<slot>`` locals.
+    Backward liveness from the requested ``slots`` (:func:`live_ops`) drops
+    dead ops before any text is produced; ops feeding a single consumer are
+    inlined into their use site (bounded by :data:`_MAX_INLINE_DEPTH` so
+    parsers survive long ripple chains); multi-use ops become ``v<slot>``
+    locals.
 
     Example::
 
@@ -472,30 +263,7 @@ def plan_kernel(program: CompiledProgram, slots: Sequence[int]) -> KernelPlan:
         len(plan.returns) == len(program.output_slots)
     """
     slots = [int(s) for s in slots]
-    ops = [
-        (
-            int(program.opcodes[k]),
-            int(program.operands[k, 0]),
-            int(program.operands[k, 1]),
-            int(program.operands[k, 2]),
-            int(program.dsts[k]),
-        )
-        for k in range(program.n_ops)
-    ]
-    # Backward liveness from the requested slots: ops whose destination is
-    # never (transitively) needed are dropped before any source is emitted,
-    # so a kernel for a narrow slot tuple computes only that cone.
-    live = set(slots)
-    keep = [False] * len(ops)
-    for k in range(len(ops) - 1, -1, -1):
-        opcode, a, b, c, dst = ops[k]
-        if dst not in live:
-            continue
-        keep[k] = True
-        operand_by_pos = (a, b, c)
-        for pos in _TEMPLATE_REFS[opcode]:
-            live.add(operand_by_pos[pos])
-    ops = [op for k, op in enumerate(ops) if keep[k]]
+    ops = live_ops(op_tuples(program), slots)
     use_count: Dict[int, int] = {}
     for opcode, a, b, c, _ in ops:
         operand_by_pos = (a, b, c)
@@ -572,12 +340,76 @@ def generate_kernel_source(
     lines = [f"    i{s} = inp[{row}]" for s, row in plan.input_loads]
     lines += [f"    v{dst} = {text}" for dst, text in plan.statements]
     body = "\n".join(lines)
-    returns = ", ".join(plan.returns)
+    # A trailing comma makes a one-tuple; an empty slot tuple returns ().
+    returns = "".join(f"{text}, " for text in plan.returns)
     return (
         "def _kernel(inp, ZERO, ONE):\n"
         + (body + "\n" if body else "")
-        + f"    return ({returns},)\n"
+        + f"    return ({returns.rstrip()})\n"
     )
+
+
+def interpret_kernel(
+    program: CompiledProgram,
+    ops: Sequence[Tuple[int, int, int, int, int]],
+    slots: Sequence[int],
+) -> Callable:
+    """A kernel that interprets the ops computing ``slots``: no ``compile()``.
+
+    Same signature and results as the generated ``_kernel(inp, ZERO, ONE)``
+    (:func:`generate_kernel_source`) and just as domain-neutral — ``NOT`` is
+    ``x ^ ONE`` and ``MUX2`` follows :data:`_TEMPLATES` — so it runs on
+    whole-row bigints and on numpy rows alike.  One loop over
+    :func:`live_ops`, dispatching on the opcode; building it costs a
+    liveness pass, where a generated kernel costs a plan, its source text
+    and ``compile()``.
+
+    Example::
+
+        ops = op_tuples(program)
+        kernel = interpret_kernel(program, ops, program.output_slots)
+        kernel(rows, 0, (1 << 64) - 1)       # one bigint per output slot
+    """
+    slots = [int(s) for s in slots]
+    ops = live_ops(ops, slots)
+    n_slots = program.n_slots
+    input_rows = list(enumerate(program.input_slots.tolist()))
+
+    def _kernel(inp, ZERO, ONE):
+        v = [ZERO] * n_slots
+        v[SLOT_ONE] = ONE
+        for row, s in input_rows:
+            v[s] = inp[row]
+        # Branches ordered by frequency in the Table I cones.
+        for op, a, b, c, dst in ops:
+            if op == OP_AND2:
+                v[dst] = v[a] & v[b]
+            elif op == OP_XOR2:
+                v[dst] = v[a] ^ v[b]
+            elif op == OP_OR2:
+                v[dst] = v[a] | v[b]
+            elif op == OP_MUX2:
+                sel = v[c]
+                v[dst] = (v[b] & sel) | (v[a] & (sel ^ ONE))
+            elif op == OP_NOT:
+                v[dst] = v[a] ^ ONE
+            elif op == OP_BUF:
+                v[dst] = v[a]
+            elif op == OP_XNOR2:
+                v[dst] = (v[a] ^ v[b]) ^ ONE
+            elif op == OP_NAND2:
+                v[dst] = (v[a] & v[b]) ^ ONE
+            elif op == OP_NOR2:
+                v[dst] = (v[a] | v[b]) ^ ONE
+            elif op == OP_AND3:
+                v[dst] = v[a] & v[b] & v[c]
+            elif op == OP_OR3:
+                v[dst] = v[a] | v[b] | v[c]
+            else:  # pragma: no cover - compiler emits only known opcodes
+                raise RuntimeError(f"unknown opcode {op}")
+        return tuple([v[s] for s in slots])
+
+    return _kernel
 
 
 class CodegenEvaluator(BitParallelEvaluator):
@@ -596,15 +428,23 @@ class CodegenEvaluator(BitParallelEvaluator):
     dispatch; Python's bignum loops do the word work in C), numpy ``uint64``
     rows above.
 
+    ``tier_up_calls`` (the ``auto`` engine passes :data:`TIER_UP_CALLS`)
+    runs a slot tuple through :func:`interpret_kernel` for that many
+    bigint-domain calls before compiling it; 0, the ``codegen`` engine,
+    compiles at the first call.
+
     Example::
 
         out = CodegenEvaluator(compile_netlist(netlist)).evaluate(vectors)
     """
 
-    def __init__(self, program: CompiledProgram) -> None:
+    def __init__(self, program: CompiledProgram, tier_up_calls: int = 0) -> None:
         super().__init__(program)
-        self._kernels: Dict[Tuple[int, ...], "object"] = {}
+        self.tier_up_calls = tier_up_calls
+        self._kernels: Dict[Tuple[int, ...], Callable] = {}
         self._sources: Dict[Tuple[int, ...], str] = {}
+        #: slot tuple -> [interpreted kernel, bigint-domain calls so far]
+        self._interpreted: Dict[Tuple[int, ...], list] = {}
 
     # ------------------------------------------------------------------ #
     def _kernel_for(self, slots: Tuple[int, ...]):
@@ -618,7 +458,23 @@ class CodegenEvaluator(BitParallelEvaluator):
             kernel = namespace["_kernel"]
             self._kernels[slots] = kernel
             self._sources[slots] = source
+            self._interpreted.pop(slots, None)
         return kernel
+
+    def _tiered_kernel(self, slots: Tuple[int, ...], n_words: int):
+        """The kernel for this call: interpreted until the slot tuple tiers up."""
+        kernel = self._kernels.get(slots)
+        if kernel is not None:
+            return kernel
+        if n_words <= BIGINT_MAX_WORDS and self.tier_up_calls:
+            entry = self._interpreted.get(slots)
+            if entry is None:
+                entry = [interpret_kernel(self.program, self._ops, slots), 0]
+                self._interpreted[slots] = entry
+            if entry[1] < self.tier_up_calls:
+                entry[1] += 1
+                return entry[0]
+        return self._kernel_for(slots)
 
     def kernel_source(self, slots: Sequence[int]) -> str:
         """The generated source for a slot tuple (compiling it if needed)."""
@@ -626,7 +482,7 @@ class CodegenEvaluator(BitParallelEvaluator):
         self._kernel_for(slots)
         return self._sources[slots]
 
-    def _call(self, kernel, packed_inputs: np.ndarray) -> np.ndarray:
+    def _call(self, slots: Tuple[int, ...], packed_inputs: np.ndarray) -> np.ndarray:
         program = self.program
         packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
         if packed_inputs.ndim != 2 or packed_inputs.shape[0] != program.n_inputs:
@@ -635,6 +491,7 @@ class CodegenEvaluator(BitParallelEvaluator):
                 f"got {packed_inputs.shape}"
             )
         n_words = packed_inputs.shape[1]
+        kernel = self._tiered_kernel(slots, n_words)
         if n_words <= BIGINT_MAX_WORDS:
             # Bigint domain: one arbitrary-precision int per input row.
             n_bytes = n_words * 8
@@ -665,13 +522,11 @@ class CodegenEvaluator(BitParallelEvaluator):
         self, packed_inputs: np.ndarray, slots: Sequence[int]
     ) -> np.ndarray:
         """Packed rows for the requested slots via a per-tuple kernel."""
-        slots = tuple(int(s) for s in slots)
-        return self._call(self._kernel_for(slots), packed_inputs)
+        return self._call(tuple(int(s) for s in slots), packed_inputs)
 
     def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Full slot state — compatibility path through an all-slots kernel."""
-        all_slots = tuple(range(self.program.n_slots))
-        return self._call(self._kernel_for(all_slots), packed_inputs)
+        return self._call(tuple(range(self.program.n_slots)), packed_inputs)
 
 
 # --------------------------------------------------------------------------- #
@@ -684,18 +539,18 @@ def make_evaluator(
 
     Example::
 
-        evaluator = make_evaluator(compile_netlist(netlist), engine="fused")
-        evaluator.engine                     # 'fused'
+        evaluator = make_evaluator(compile_netlist(netlist), engine="auto")
+        evaluator.engine                     # 'auto'
     """
-    resolved = resolve_engine(engine, program)
+    resolved = resolve_engine(engine)
     if resolved == "interp":
         evaluator = BitParallelEvaluator(program)
-    elif resolved == "fused":
-        evaluator = FusedEvaluator(program)
     elif resolved == "native":
         from repro.perf.native import NativeEvaluator
 
         evaluator = NativeEvaluator(program)
+    elif resolved == "auto":
+        evaluator = CodegenEvaluator(program, tier_up_calls=TIER_UP_CALLS)
     else:
         evaluator = CodegenEvaluator(program)
     evaluator.engine = resolved

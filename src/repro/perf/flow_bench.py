@@ -37,6 +37,7 @@ from repro.core.design_flow import (
 )
 from repro.core.flow_executor import FlowResultCache
 from repro.eval.table1 import generate_table1, table1_aggregates
+from repro.ml.svm import _dual_cd_epoch_kernel
 
 
 from repro.core.paths import bench_output_path as _bench_output_path
@@ -78,6 +79,11 @@ def run_flow_benchmark(
     datasets = list(datasets)
     config = fast_config()
     n_jobs = jobs if jobs is not None else max(2, os.cpu_count() or 1)
+    # One-time set-up outside every timer: the toolchain probe and the load
+    # (or compile) of the trainer's epoch kernel.  The forked shards inherit
+    # the loaded kernel, so charging it to the cold pass alone would inflate
+    # the sharded speedup in a fresh process.
+    _dual_cd_epoch_kernel()
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cache = FlowResultCache(tmp)

@@ -224,9 +224,9 @@ class SequentialEvaluator:
     """Clocks a :class:`SequentialProgram` over packed ``uint64`` vector words.
 
     ``engine`` selects the execution backend for the per-cycle cone
-    (:mod:`repro.perf.engines`); under ``'auto'`` the cone automatically
-    picks up the codegen (or, for very large cones, fused) kernel, which is
-    where fusion pays the most — the cone re-runs every clock cycle.
+    (:mod:`repro.perf.engines`); under ``'auto'`` the cone runs interpreted
+    for its first calls and is compiled once it has clocked enough cycles
+    to pay for the compile — a verification's few cycles never do.
 
     Example::
 
@@ -237,7 +237,7 @@ class SequentialEvaluator:
     def __init__(self, seq: SequentialProgram, engine: str = "auto") -> None:
         self.seq = seq
         self._cone = make_evaluator(seq.program, engine)
-        self.engine = resolve_engine(engine, seq.program)
+        self.engine = self._cone.engine
         # One kernel request per cycle: outputs and next state together.
         self._result_slots = tuple(
             int(s) for s in np.concatenate([seq.output_slots, seq.next_state_slots])
@@ -301,7 +301,7 @@ class SequentialEvaluator:
             rows = packed_inputs[t] if streamed else packed_inputs
             cone_in = np.concatenate([rows, state], axis=0)
             # One engine call per cycle computing outputs and next state
-            # together — the codegen engine compiles a dedicated kernel for
+            # together — the codegen engines run a dedicated kernel for
             # exactly this slot tuple (dead cone logic never executes).
             result = self._cone.evaluate_packed_slots(cone_in, self._result_slots)
             trace[t] = result[:n_outputs]
@@ -419,7 +419,7 @@ def sequential_evaluator_for(
     """
     library = library or EGFET_PDK
     seq = compile_sequential(netlist, library, opt_level=opt_level)
-    resolved = resolve_engine(engine, seq.program)
+    resolved = resolve_engine(engine)
     cache = getattr(netlist, "_seqsim_evaluator_cache", None)
     if not isinstance(cache, dict):
         cache = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.design_flow import FlowConfig
 from repro.core.sequential_svm import SequentialSVMDesign
@@ -22,6 +23,13 @@ from repro.ml.quantization import (
     quantize_mlp_classifier,
 )
 from repro.ml.svm import LinearSVC
+
+# Example budgets of the hypothesis tests that do not pin ``max_examples``
+# themselves: a small one for tier-1, a deeper one selected with
+# ``pytest --hypothesis-profile=ci``.
+settings.register_profile("default", max_examples=10, deadline=None)
+settings.register_profile("ci", max_examples=100, deadline=None)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

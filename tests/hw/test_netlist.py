@@ -160,3 +160,66 @@ class TestGateNetlist:
         blk = net.to_block()
         assert blk.n_cells() == 2
         assert blk.logic_depth() == 2
+
+
+class TestBindDff:
+    """``bind_dff`` finds its flip-flop through the builder's name map, so
+    binding costs O(1) instead of a netlist-wide index rebuild."""
+
+    @staticmethod
+    def _bank(n):
+        net = GateNetlist("bank")
+        d = net.add_input("d")
+        qs = [net.declare_dff(f"q[{i}]", name=f"ff{i}") for i in range(n)]
+        return net, d, qs
+
+    def test_binding_never_rebuilds_the_fanout_index(self, monkeypatch):
+        net, d, qs = self._bank(8)
+        net.fanout_of(d)  # build the lazy index once
+        calls = []
+        real = GateNetlist._indices
+        monkeypatch.setattr(
+            GateNetlist, "_indices", lambda self: calls.append(1) or real(self)
+        )
+        prev = d
+        for q in qs:
+            net.bind_dff(q, prev)
+            prev = q
+        assert calls == []
+        bound = [g.inputs for g in net.sequential_gates()]
+        assert bound == [(d,), *[(q,) for q in qs[:-1]]]
+        assert net.driver_of(qs[3]).name == "ff3"
+
+    def test_rewrite_is_seen_by_bind_and_driver_queries(self):
+        net, d, (q0, q1) = self._bank(2)
+        gate_type = type(net.gates[0])
+        # Replace the second flip-flop by a fresh one under a new name.
+        net.gates[1] = gate_type(name="late", cell="DFF", inputs=(), outputs=(q1,))
+        net.note_structural_change()
+        assert net.driver_of(q1).name == "late"
+        net.bind_dff(q1, q0)
+        assert net.gates[1].inputs == (q0,)
+        assert net.driver_of(q1) is net.gates[1]
+        # The replaced instance name is gone, so it can be declared again.
+        net.declare_dff("q_again", name="ff1")
+        assert net.driver_of("q_again").name == "ff1"
+
+    def test_bind_errors_still_raise(self):
+        net, d, (q0,) = self._bank(1)
+        with pytest.raises(ValueError, match="not driven by a flip-flop"):
+            net.bind_dff("nowhere", d)
+        with pytest.raises(ValueError, match="not driven by a flip-flop"):
+            net.bind_dff(d, d)
+        with pytest.raises(ValueError, match="reads undriven net"):
+            net.bind_dff(q0, "floating")
+        net.bind_dff(q0, d)
+        with pytest.raises(ValueError, match="already bound"):
+            net.bind_dff(q0, GateNetlist.CONST_ONE)
+
+    def test_duplicate_instance_names_rejected_after_rewrite(self):
+        net, d, _ = self._bank(1)
+        with pytest.raises(ValueError, match="duplicate instance name"):
+            net.add_gate("INV", [d], name="ff0")
+        net.gates = []
+        net.note_structural_change()
+        net.add_gate("INV", [d], name="ff0")

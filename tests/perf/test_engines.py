@@ -1,11 +1,12 @@
-"""The fused/codegen/native execution engines: bit-exactness, caching, codegen.
+"""The codegen/native/auto execution engines: bit-exactness, caching, codegen.
 
 Every engine must produce exactly the same bits as the interp engine on
 every netlist in the zoo — combinational and sequential, raw and optimized —
 because the engines only change the execution *schedule*, never the program.
 ``native`` rides the same matrices: on hosts without a C toolchain it
 resolves to ``codegen``, so the assertions still hold (the native-specific
-behaviours live in ``tests/perf/test_native.py``).
+behaviours live in ``tests/perf/test_native.py``, the tiers of ``auto`` in
+``tests/perf/test_engine_tiers.py``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from repro.hw.rtl.svm_top import build_sequential_svm_netlist
 from repro.perf.bitsim import evaluator_for, pack_vectors, simulate_netlist_batch
 from repro.perf.compile import compile_netlist
 from repro.perf.engines import (
-    AUTO_CODEGEN_MAX_OPS,
+    TIER_UP_CALLS,
     CodegenEvaluator,
     ENGINES,
-    FusedEvaluator,
     generate_kernel_source,
-    levelize,
     make_evaluator,
     resolve_engine,
 )
@@ -70,7 +69,7 @@ def _sequential_zoo():
 
 
 class TestCombinationalBitExactness:
-    @pytest.mark.parametrize("engine", ["fused", "codegen", "native", "auto"])
+    @pytest.mark.parametrize("engine", ["codegen", "native", "auto"])
     @pytest.mark.parametrize("opt_level", [0, 1, 2])
     def test_zoo_matches_interp(self, engine, opt_level):
         rng = np.random.default_rng(0)
@@ -85,7 +84,7 @@ class TestCombinationalBitExactness:
             )
             assert np.array_equal(out, reference), (name, engine, opt_level)
 
-    @pytest.mark.parametrize("engine", ["fused", "codegen", "native"])
+    @pytest.mark.parametrize("engine", ["codegen", "native", "auto"])
     def test_full_slot_state_matches_interp(self, engine):
         """evaluate_packed keeps the interp contract: every slot, in order."""
         rng = np.random.default_rng(1)
@@ -96,7 +95,7 @@ class TestCombinationalBitExactness:
         state = evaluator_for(netlist, engine=engine).evaluate_packed(packed)
         assert np.array_equal(state, reference)
 
-    @pytest.mark.parametrize("engine", ["fused", "codegen", "native"])
+    @pytest.mark.parametrize("engine", ["codegen", "native", "auto"])
     def test_evaluate_nets_matches_interp(self, engine):
         rng = np.random.default_rng(2)
         netlist = build_ripple_adder_netlist(5)
@@ -107,7 +106,7 @@ class TestCombinationalBitExactness:
         for net in reference:
             assert np.array_equal(nets[net], reference[net]), net
 
-    @pytest.mark.parametrize("engine", ["fused", "codegen", "native"])
+    @pytest.mark.parametrize("engine", ["codegen", "native", "auto"])
     def test_duplicate_and_input_slots_allowed(self, engine):
         """Requested slots may repeat and may name inputs or constants —
         the shapes a sequential cone produces (shift registers tap Q nets)."""
@@ -130,6 +129,15 @@ class TestCombinationalBitExactness:
             interp.evaluate_packed_slots(packed, slots),
         )
 
+    @pytest.mark.parametrize("engine", ["codegen", "native", "auto"])
+    def test_empty_slot_tuple_returns_no_rows(self, engine):
+        """An empty request yields a (0, n_words) array: the Python emitter
+        once rendered it as the syntax error ``return (,)``."""
+        netlist = build_ripple_adder_netlist(2)
+        packed, _ = pack_vectors(np.ones((70, len(netlist.inputs)), dtype=int))
+        out = evaluator_for(netlist, engine=engine).evaluate_packed_slots(packed, [])
+        assert out.shape == (0, 2) and out.dtype == np.uint64
+
     def test_codegen_numpy_domain_matches_bigint_domain(self, monkeypatch):
         """Forcing the numpy operand domain gives the same bits as bigints."""
         import repro.perf.engines as engines_mod
@@ -145,7 +153,7 @@ class TestCombinationalBitExactness:
 
 
 class TestSequentialBitExactness:
-    @pytest.mark.parametrize("engine", ["fused", "codegen", "native", "auto"])
+    @pytest.mark.parametrize("engine", ["codegen", "native", "auto"])
     @pytest.mark.parametrize("opt_level", [0, 2])
     def test_zoo_matches_interp(self, engine, opt_level):
         rng = np.random.default_rng(5)
@@ -159,72 +167,78 @@ class TestSequentialBitExactness:
             )
             assert np.array_equal(out, reference), (name, engine, opt_level)
 
-    def test_auto_sequential_cone_uses_codegen(self):
+    def test_auto_sequential_cone_is_tiered_codegen(self):
         evaluator = sequential_evaluator_for(build_counter_netlist(4))
-        assert evaluator.engine == "codegen"
+        assert evaluator.engine == "auto"
         assert isinstance(evaluator._cone, CodegenEvaluator)
+        assert evaluator._cone.tier_up_calls == TIER_UP_CALLS
 
 
 class TestEngineSelection:
-    def test_resolve_engine_auto_switches_on_program_size(self):
-        program = compile_netlist(build_ripple_adder_netlist(4))
-        assert resolve_engine("auto", program) == "codegen"
-        assert resolve_engine("fused", program) == "fused"
-        assert resolve_engine("interp", program) == "interp"
-        assert program.n_ops <= AUTO_CODEGEN_MAX_OPS
+    def test_resolve_engine_names_the_engine_that_runs(self):
+        assert resolve_engine("auto") == "auto"
+        assert resolve_engine("codegen") == "codegen"
+        assert resolve_engine("interp") == "interp"
 
     def test_unknown_engine_raises(self):
-        program = compile_netlist(build_ripple_adder_netlist(2))
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("turbo", program)
+            resolve_engine("turbo")
         with pytest.raises(ValueError, match="unknown engine"):
             evaluator_for(build_ripple_adder_netlist(2), engine="turbo")
 
+    def test_fused_engine_is_gone(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_evaluator(compile_netlist(build_ripple_adder_netlist(2)), "fused")
+
     def test_make_evaluator_classes_and_engine_attr(self):
         program = compile_netlist(build_ripple_adder_netlist(3))
-        assert isinstance(make_evaluator(program, "fused"), FusedEvaluator)
-        assert isinstance(make_evaluator(program, "codegen"), CodegenEvaluator)
-        assert make_evaluator(program, "auto").engine == "codegen"
+        codegen = make_evaluator(program, "codegen")
+        auto = make_evaluator(program, "auto")
+        assert isinstance(codegen, CodegenEvaluator)
+        assert codegen.engine == "codegen" and codegen.tier_up_calls == 0
+        assert isinstance(auto, CodegenEvaluator)
+        assert auto.engine == "auto" and auto.tier_up_calls == TIER_UP_CALLS
 
     def test_engines_tuple_is_the_cli_contract(self):
-        assert ENGINES == ("interp", "fused", "codegen", "native", "auto")
+        assert ENGINES == ("interp", "codegen", "native", "auto")
 
 
 class TestCaching:
     def test_evaluators_cached_per_engine(self):
         netlist = build_ripple_adder_netlist(4)
         interp = evaluator_for(netlist, engine="interp")
-        fused = evaluator_for(netlist, engine="fused")
         codegen = evaluator_for(netlist, engine="codegen")
-        assert interp is not fused and fused is not codegen
+        auto = evaluator_for(netlist, engine="auto")
+        assert interp is not codegen and codegen is not auto
         assert evaluator_for(netlist, engine="interp") is interp
-        assert evaluator_for(netlist, engine="fused") is fused
         assert evaluator_for(netlist, engine="codegen") is codegen
-        # auto resolves to codegen here, so it shares the codegen entry.
-        assert evaluator_for(netlist, engine="auto") is codegen
+        # auto tiers its kernels differently, so it has its own entry.
+        assert evaluator_for(netlist, engine="auto") is auto
         # All engines share one compiled program.
-        assert interp.program is fused.program is codegen.program
+        assert interp.program is codegen.program is auto.program
 
     def test_structural_mutation_drops_compiled_kernels(self):
         """Version-keyed invalidation: mutating the netlist must retire the
-        codegen evaluator (and with it every compiled kernel) and the fused
-        schedule, exactly like the compiled program itself."""
+        codegen and auto evaluators (and with them every compiled or
+        interpreted kernel), exactly like the compiled program itself."""
         netlist = build_ripple_adder_netlist(3)
         rng = np.random.default_rng(6)
         vectors = rng.integers(0, 2, size=(40, len(netlist.inputs)))
         codegen = evaluator_for(netlist, engine="codegen")
-        fused = evaluator_for(netlist, engine="fused")
+        auto = evaluator_for(netlist, engine="auto")
         codegen.evaluate(vectors)  # force a kernel compile
+        auto.evaluate(vectors)
         (inv,) = netlist.add_gate("INV", [netlist.outputs[0]], outputs=["obs"])
         netlist.mark_output(inv)
         new_codegen = evaluator_for(netlist, engine="codegen")
-        new_fused = evaluator_for(netlist, engine="fused")
+        new_auto = evaluator_for(netlist, engine="auto")
         assert new_codegen is not codegen
-        assert new_fused is not fused
+        assert new_auto is not auto
         assert new_codegen.program is not codegen.program
         # The new evaluator simulates the observer gate; bit-exact vs interp.
         reference = evaluator_for(netlist, engine="interp").evaluate(vectors)
         assert np.array_equal(new_codegen.evaluate(vectors), reference)
+        assert np.array_equal(new_auto.evaluate(vectors), reference)
 
     def test_sequential_mutation_drops_engine_evaluator(self):
         netlist = build_counter_netlist(3)
@@ -265,21 +279,6 @@ class TestCodegenSource:
         evaluator = evaluator_for(netlist, engine="codegen")
         source = evaluator.kernel_source(evaluator.program.output_slots)
         assert "return (" in source
-
-    def test_levelize_covers_every_op_in_topological_layers(self):
-        program = compile_netlist(build_array_multiplier_netlist(4, 4))
-        layers = levelize(program)
-        seen = [k for layer in layers for k in layer]
-        assert sorted(seen) == list(range(program.n_ops))
-        # Every op's operands are produced strictly earlier.
-        produced_at = {}
-        for depth, layer in enumerate(layers):
-            for k in layer:
-                produced_at[int(program.dsts[k])] = depth
-        for depth, layer in enumerate(layers):
-            for k in layer:
-                for operand in program.operands[k]:
-                    assert produced_at.get(int(operand), -1) < depth
 
 
 class TestOpListing:

@@ -125,15 +125,13 @@ class TestFallback:
 
     def test_native_resolves_to_codegen_without_toolchain(self, monkeypatch):
         _no_toolchain(monkeypatch)
-        program = compile_netlist(build_ripple_adder_netlist(3))
         with pytest.warns(RuntimeWarning, match="degrades to 'codegen'"):
-            assert resolve_engine("native", program) == "codegen"
+            assert resolve_engine("native") == "codegen"
 
     def test_fallback_warns_exactly_once(self, monkeypatch, recwarn):
         _no_toolchain(monkeypatch)
-        program = compile_netlist(build_ripple_adder_netlist(3))
-        resolve_engine("native", program)
-        resolve_engine("native", program)
+        resolve_engine("native")
+        resolve_engine("native")
         messages = [w for w in recwarn.list if w.category is RuntimeWarning]
         assert len(messages) == 1
 
@@ -158,7 +156,10 @@ class TestFallback:
 
     def test_auto_never_selects_native(self):
         program = compile_netlist(build_ripple_adder_netlist(4))
-        assert resolve_engine("auto", program) in ("codegen", "fused")
+        assert resolve_engine("auto") == "auto"
+        evaluator = make_evaluator(program, "auto")
+        assert isinstance(evaluator, CodegenEvaluator)
+        assert not isinstance(evaluator, NativeEvaluator)
 
     def test_available_engines_drops_native_without_toolchain(self, monkeypatch):
         _no_toolchain(monkeypatch)
@@ -423,13 +424,12 @@ class TestEnvKnobs:
         """
         code = (
             "import repro.perf.engines as e, repro.perf.native as n; "
-            "print(e.AUTO_CODEGEN_MAX_OPS, e.BIGINT_MAX_WORDS, "
+            "print(e.BIGINT_MAX_WORDS, "
             "n.NATIVE_THREADS, n.NATIVE_PARALLEL_MIN_WORDS)"
         )
         env = {
             **os.environ,
             "PYTHONPATH": SRC_DIR,
-            "REPRO_AUTO_CODEGEN_MAX_OPS": "123",
             "REPRO_BIGINT_MAX_WORDS": "7",
             "REPRO_NATIVE_THREADS": "2",
             "REPRO_NATIVE_MIN_WORDS": "999",
@@ -438,20 +438,20 @@ class TestEnvKnobs:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["123", "7", "2", "999"]
+        assert proc.stdout.split() == ["7", "2", "999"]
 
     def test_invalid_engine_knob_fails_loudly(self):
         code = "import repro.perf.engines"
         env = {
             **os.environ,
             "PYTHONPATH": SRC_DIR,
-            "REPRO_AUTO_CODEGEN_MAX_OPS": "many",
+            "REPRO_BIGINT_MAX_WORDS": "many",
         }
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode != 0
-        assert "REPRO_AUTO_CODEGEN_MAX_OPS" in proc.stderr
+        assert "REPRO_BIGINT_MAX_WORDS" in proc.stderr
 
 
 # --------------------------------------------------------------------------- #

@@ -205,6 +205,13 @@ class TestSequentialSVMTop:
         assert verify_sequential_svm_netlist(top, ports, codes, oracle)
         assert verify_sequential_svm_netlist(top, ports, codes, oracle, opt_level=2)
 
+    def test_oracle_of_another_class_count_is_rejected(self):
+        weights = np.array([[1, -2], [3, 0], [-1, 1]])
+        top, ports = build_sequential_svm_netlist(weights, np.zeros(3), input_bits=2)
+        oracle = SequentialDatapathSimulator(weights[:2], np.zeros(2))
+        with pytest.raises(ValueError, match="oracle has 2 classifiers"):
+            verify_sequential_svm_netlist(top, ports, np.array([[1, 2]]), oracle)
+
     def test_predictions_match_run_batch(self):
         rng = np.random.default_rng(4)
         weights = rng.integers(-7, 8, size=(5, 3))

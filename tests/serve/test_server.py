@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.design_flow import clear_flow_cache, training_run_count
 from repro.core.flow_executor import FlowResultCache
+from repro.perf.engines import available_engines
 from repro.serve.registry import ModelRegistry, parse_model_name
 from repro.serve.server import ModelServer, ServerClosed
 
@@ -160,6 +161,9 @@ def test_registry_trains_then_loads_from_persistent_cache(tmp_path, tiny_flow_co
     trained = training_run_count() - before
     assert trained >= 1
     assert first.backend == "datapath.run_batch"
+    # /models lists the simulation engines this host can run.
+    assert first.info["simulation_engines"] == list(available_engines())
+    assert "fused" not in first.info["simulation_engines"]
 
     clear_flow_cache()  # drop the in-process layer; only the disk cache remains
     before = training_run_count()

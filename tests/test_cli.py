@@ -18,6 +18,12 @@ class TestTable1Command:
         with pytest.raises(SystemExit):
             main_table1(["--datasets", "imagenet"])
 
+    def test_fused_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_table1(["--datasets", "redwine", "--fast", "--engine", "fused"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fused'" in capsys.readouterr().err
+
     def test_jobs_and_cache_dir_flags(self, tmp_path, capsys):
         """A sharded cold run persists results; the warm rerun matches it."""
         from repro.core.design_flow import clear_flow_cache, training_run_count
