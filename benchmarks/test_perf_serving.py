@@ -8,9 +8,10 @@ the floors every PR must keep:
   throughput (the whole point of the micro-batching queue);
 * served class ids are bit-identical to the design's direct ``run_batch``;
 * micro-batches actually coalesce (mean batch size well above 1);
-* the worker fleet answers bit-identically to the ``workers=0`` oracle on a
-  4-model mix, and — on hosts with enough cores for process parallelism to
-  exist — reaches >=2.5x the single-process aggregate throughput.
+* the pre-fork fleet (``repro-serve --workers 4``) and one server process
+  both answer bit-identically to ``simulate_batch`` over HTTP on a 4-model
+  mix, and — on hosts with enough cores for process parallelism to exist —
+  the fleet reaches >=2.5x the single-process aggregate throughput.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ SPEEDUP_FLOOR = 5.0
 #: The acceptance floor: fleet aggregate req/s vs single process at 4 workers.
 FLEET_SPEEDUP_FLOOR = 2.5
 
-#: Cores needed before the fleet floor is physically meaningful (4 workers
-#: plus the frontend cannot beat one process on fewer).
+#: Cores needed before the fleet floor is physically meaningful (4 children
+#: plus the load generator cannot beat one process on fewer).
 FLEET_FLOOR_MIN_CPUS = 4
 
 
@@ -51,7 +52,7 @@ def serving_results():
 
 @pytest.fixture(scope="module")
 def fleet_results():
-    """One shared multi-worker run (4-model mix, 4 workers vs the oracle)."""
+    """One shared multi-worker run (4-model mix, 4 children vs one process)."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fleet benchmark needs the fork start method")
     return run_multi_worker_benchmark(
@@ -90,10 +91,10 @@ def test_microbatches_coalesce(serving_results):
 
 @pytest.mark.perf_smoke
 def test_fleet_bit_identical_to_oracle(fleet_results):
-    """The worker fleet answers exactly like the workers=0 single process.
+    """The fleet and one process both answer exactly like ``simulate_batch``.
 
-    Asserted unconditionally: bit-exactness is structural (a worker embeds
-    the oracle server) and must hold on any host, fast or slow.
+    Asserted unconditionally: bit-exactness is structural (every child is
+    the single-process server) and must hold on any host, fast or slow.
     """
     assert fleet_results["bit_identical_to_single_process"]
     assert fleet_results["fleet"]["n_errors"] == 0

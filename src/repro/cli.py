@@ -20,6 +20,7 @@ installation required; see ``docs/cli.md`` for the full flag reference):
 from __future__ import annotations
 
 import argparse
+import socket
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -321,17 +322,9 @@ def _serve_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="serving worker processes: 0 serves every model lane in this "
-        "process (the bit-exact single-process path), N >= 1 hosts the "
-        "lanes in N child processes behind the frontend router",
-    )
-    parser.add_argument(
-        "--lanes-per-worker",
-        type=int,
-        default=None,
-        help="soft cap on model lanes per worker: new models route to the "
-        "least-loaded worker under the cap (default: no cap, least-loaded "
-        "always)",
+        help="serving processes: 0 serves every model in this process; "
+        "N >= 1 forks N copies of that server behind a supervisor that hands "
+        "each accepted connection to the next child in turn",
     )
     _add_common_arguments(parser)
     return parser
@@ -351,6 +344,7 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
 
     from repro.serve import ModelRegistry, ModelServer, build_http_server
     from repro.serve.registry import parse_model_name
+    from repro.serve.worker import Supervisor
 
     try:
         for name in args.models:
@@ -367,36 +361,33 @@ def main_serve(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         opt_level=args.opt_level,
     )
-    if args.workers == 0:
-        # Train/load up front in this process; the lanes live here too.
-        print(f"loading {len(args.models)} model(s): {', '.join(args.models)}")
-        registry.preload(args.models)
-    server = ModelServer(
-        registry,
-        max_batch_size=args.max_batch_size,
-        max_latency_ms=args.max_latency_ms,
-        workers=args.workers,
-        lanes_per_worker=args.lanes_per_worker,
+    print(f"loading {len(args.models)} model(s): {', '.join(args.models)}")
+    registry.preload(args.models)
+    knobs = {"max_batch_size": args.max_batch_size, "max_latency_ms": args.max_latency_ms}
+    settings = (
+        f"max_batch_size={args.max_batch_size}, "
+        f"max_latency_ms={args.max_latency_ms:g}"
     )
     if args.workers:
-        # Fleet mode: each model trains/loads inside its assigned worker
-        # (frontend preloading would only warm a process the lanes never
-        # run in); /healthz reports ready once every worker heartbeats.
-        print(
-            f"opening {len(args.models)} model lane(s) across "
-            f"{args.workers} worker(s): {', '.join(args.models)}"
+        # Bound before the fork, so every child serves the same address; the
+        # supervisor drains the fleet itself on SIGINT or SIGTERM.
+        listener = socket.create_server((args.host, args.port))
+        host, port = listener.getsockname()[:2]
+        Supervisor(registry, args.models, args.workers, listener, **knobs).run(
+            on_ready=lambda: print(
+                f"serving on http://{host}:{port} ({settings}, "
+                f"workers={args.workers})",
+                flush=True,
+            )
         )
+        return 0
+
+    server = ModelServer(registry, **knobs)
     for name in args.models:
         server.open_lane(name)  # open a serving lane per requested model
-
     httpd = build_http_server(server, host=args.host, port=args.port)
     host, port = httpd.server_address[:2]
-    workers_note = f", workers={args.workers}" if args.workers else ""
-    print(
-        f"serving on http://{host}:{port} "
-        f"(max_batch_size={args.max_batch_size}, "
-        f"max_latency_ms={args.max_latency_ms:g}{workers_note})"
-    )
+    print(f"serving on http://{host}:{port} ({settings})", flush=True)
     try:
         httpd.serve_forever()
     except KeyboardInterrupt:

@@ -18,6 +18,7 @@ is by far the slowest step and the benchmarks revisit the same rows.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -84,6 +85,23 @@ class FlowConfig:
     def cache_key(self, dataset: str, kind: str) -> Tuple:
         """Hashable key identifying one flow invocation."""
         return (dataset, kind, tuple(sorted(self.__dict__.items())))
+
+
+def job_content_key(dataset: str, kind: str, config: FlowConfig) -> str:
+    """Content digest identifying one (dataset, kind, config) job.
+
+    The same identity the persistent flow cache derives its entry digests
+    from (:func:`repro.core.flow_executor._entry_digest` additionally mixes
+    in the code fingerprint; the job's identity deliberately does not, so a
+    package edit re-opens the cache misses without orphaning the manifest).
+
+    Example::
+
+        >>> len(job_content_key("redwine", "ours", FlowConfig()))
+        16
+    """
+    payload = repr(config.cache_key(dataset, kind))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass

@@ -47,14 +47,13 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.core.design_flow import MODEL_KINDS, FlowConfig
+from repro.core.design_flow import MODEL_KINDS, FlowConfig, job_content_key
 
 #: Job states derivable from the journal.
 PENDING = "pending"
@@ -75,23 +74,6 @@ class ManifestError(ValueError):
         except ManifestError:
             ...  # a *non-final* line is malformed: refuse to guess
     """
-
-
-def job_content_key(dataset: str, kind: str, config: FlowConfig) -> str:
-    """Content digest identifying one (dataset, kind, config) job.
-
-    The same identity the persistent flow cache derives its entry digests
-    from (:func:`repro.core.flow_executor._entry_digest` additionally mixes
-    in the code fingerprint; the job's identity deliberately does not, so a
-    package edit re-opens the cache misses without orphaning the manifest).
-
-    Example::
-
-        >>> len(job_content_key("redwine", "ours", FlowConfig()))
-        16
-    """
-    payload = repr(config.cache_key(dataset, kind))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ worker *reports* (bad spec, deterministic training failure) arrives as an
 ``MSG_ERROR`` frame and raises :class:`JobRejected` — permanent, because
 retrying a deterministic failure can only fail the same way.
 
-Fd hygiene matters here exactly as in :mod:`repro.serve.worker`: each child
-closes the parent-side descriptors it inherited for its *siblings*, so that
-when the scheduler dies (even by SIGKILL) every worker sees EOF on its own
-connection and exits instead of orphan-training forever.
+Fd hygiene matters: each child closes the parent-side descriptors it
+inherited for its *siblings*, so that when the scheduler dies (even by
+SIGKILL) every worker sees EOF on its own connection and exits instead of
+orphan-training forever.
 
 Example::
 
@@ -35,6 +35,7 @@ Example::
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
 import time
@@ -57,7 +58,14 @@ from repro.serve.transport import (
     WorkerCrashed,
     connection_pair,
 )
-from repro.serve.worker import _mp_context
+
+
+def _mp_context():
+    """``fork`` where available (sockets and caches inherit for free)."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
 
 #: ``source`` values a worker reports with each finished job.
 SOURCE_TRAINED = "trained"

@@ -52,7 +52,8 @@ from repro.hw.netlist import GateNetlist
 from repro.hw.pdk import EGFET_PDK
 from repro.perf.bitsim import pack_vectors, unpack_vectors
 from repro.perf.compile import CompiledProgram, compile_netlist
-from repro.perf.engines import make_evaluator, resolve_engine
+from repro.perf import engines
+from repro.perf.engines import resolve_engine
 
 
 @dataclass
@@ -236,7 +237,9 @@ class SequentialEvaluator:
 
     def __init__(self, seq: SequentialProgram, engine: str = "auto") -> None:
         self.seq = seq
-        self._cone = make_evaluator(seq.program, engine)
+        # Looked up through the module at call time, so a wrapper on
+        # engines.make_evaluator sees every evaluator built here.
+        self._cone = engines.make_evaluator(seq.program, engine)
         self.engine = self._cone.engine
         # One kernel request per cycle: outputs and next state together.
         self._result_slots = tuple(

@@ -5,9 +5,9 @@ API on top of ``run_batch``" open item): load trained designs through the
 persistent flow cache, accept single and bulk predict requests — over HTTP
 or in process — and coalesce concurrent traffic through an async
 micro-batching queue onto the PR 1 single-matmul / bit-parallel hot paths.
-The server runs either in-process (``workers=0``, the bit-exact oracle) or
-as a frontend routing to a fleet of worker processes (``workers=N``) so
-concurrent models stop contending on one GIL.
+``repro-serve --workers N`` runs N forked copies of the single-process
+server behind a thin supervisor that hands each accepted connection to the
+next child in turn, so concurrent requests stop contending on one GIL.
 
 Layering (see ``docs/architecture.md`` and ``docs/serving.md``):
 
@@ -18,11 +18,12 @@ Layering (see ``docs/architecture.md`` and ``docs/serving.md``):
 * :mod:`repro.serve.batching` — the micro-batching queue
   (:class:`MicroBatcher`, ``max_batch_size`` / ``max_latency_ms``);
 * :mod:`repro.serve.server` — :class:`ModelServer`: per-model lanes and
-  stats in-process, or the frontend router (health checks, crash
-  restarts, fleet-wide stats, graceful drain) over worker processes;
-* :mod:`repro.serve.transport` / :mod:`repro.serve.worker` — the
-  length-prefixed binary frame protocol and the worker-process plane
-  behind ``workers=N``;
+  stats in one process;
+* :mod:`repro.serve.worker` — the pre-fork fleet: a supervisor that
+  forks N full servers, hands them connections, restarts the dead,
+  merges ``/stats`` and drains on SIGTERM;
+* :mod:`repro.serve.transport` — the length-prefixed binary frame
+  protocol the job service's workers speak;
 * :mod:`repro.serve.http` / :mod:`repro.serve.client` — the stdlib HTTP
   endpoint (``repro-serve``) and the in-process / HTTP clients;
 * :mod:`repro.serve.stats` — requests/s, batch occupancy, p50/p99 latency
@@ -30,8 +31,8 @@ Layering (see ``docs/architecture.md`` and ``docs/serving.md``):
 * :mod:`repro.serve.loadgen` — seeded open/closed-loop load generation,
   p50/p99/p999 SLO measurement and saturation search;
 * :mod:`repro.serve.bench` — the ``BENCH_serving.json`` throughput
-  benchmark: the >=5x micro-batching floor plus the multi-worker
-  fleet-vs-oracle section.
+  benchmark: the >=5x micro-batching floor plus the pre-fork fleet against
+  one process, both over HTTP.
 
 Example::
 
@@ -39,7 +40,7 @@ Example::
     from repro.serve import Client, ModelRegistry, ModelServer
 
     registry = ModelRegistry(config=fast_config())
-    with ModelServer(registry, workers=4) as server:
+    with ModelServer(registry) as server:
         client = Client(server)
         client.predict("redwine/ours", [0.5] * 11)   # 11 redwine features
 """
@@ -65,7 +66,6 @@ from repro.serve.registry import ModelRegistry, parse_model_name
 from repro.serve.server import ModelServer, ServerClosed
 from repro.serve.stats import StatsRecorder
 from repro.serve.transport import TransportError, WorkerCrashed
-from repro.serve.worker import WorkerHandle, WorkerSpec
 
 __all__ = [
     "BatcherClosed",
@@ -93,6 +93,4 @@ __all__ = [
     "StatsRecorder",
     "TransportError",
     "WorkerCrashed",
-    "WorkerHandle",
-    "WorkerSpec",
 ]

@@ -14,11 +14,11 @@ trajectory to ``BENCH_serving.json``:
   occupancy, so throughput-vs-batch-size is tracked PR over PR;
 * a **bit-exactness** check that the served class ids equal the design's
   direct ``run_batch`` answers on the same rows;
-* **multi_worker** — the frontend/worker fleet vs the single-process
-  oracle on a multi-model mix: closed-loop aggregate throughput (the
-  ``workers=4`` speedup claim), open-loop sustained and bursty SLO runs
-  with p50/p99/p999 tails, the saturation knee, and bit-exactness of the
-  fleet against the ``workers=0`` path.
+* **multi_worker** — the pre-fork fleet (``repro-serve --workers 4``) vs
+  one server process, both over HTTP, on a multi-model mix: closed-loop
+  aggregate throughput (the speedup claim), open-loop sustained and bursty
+  SLO runs with p50/p99/p999 tails, the saturation knee, and bit-exactness
+  of both against the designs' ``simulate_batch``.
 
 Entry points: ``python scripts/bench_serving.py`` (writes the JSON;
 ``--compare --baseline`` diffs instead) and
@@ -53,7 +53,10 @@ from repro.core.benchcompare import (
 from repro.core.design_flow import fast_config
 from repro.core.flow_executor import run_flow_cached
 from repro.core.paths import bench_output_path
+from repro.serve.client import HTTPClient
+from repro.serve.http import serve_in_thread
 from repro.serve.loadgen import (
+    HTTPTarget,
     ModelTraffic,
     find_saturation,
     run_closed_loop,
@@ -61,6 +64,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.server import ModelServer
+from repro.serve.worker import spawn_fleet, stop_fleet
 
 #: Default location of the recorded results (repository root).
 DEFAULT_OUTPUT = bench_output_path("BENCH_serving.json")
@@ -71,8 +75,7 @@ DEFAULT_BATCH_SIZES = (8, 32, 256)
 #: Client threads offering the concurrent load.
 DEFAULT_CLIENT_THREADS = 4
 
-#: The >=4-model mix the multi-worker section serves (one lane per worker
-#: at the default ``workers=4`` / ``lanes_per_worker=1``).
+#: The >=4-model mix the multi-worker section serves.
 DEFAULT_FLEET_DATASETS = ("redwine", "whitewine", "cardio", "dermatology")
 
 #: Worker processes in the default fleet measurement.
@@ -84,27 +87,6 @@ def _effective_cpus() -> float:
     if hasattr(os, "sched_getaffinity"):
         return float(len(os.sched_getaffinity(0)))
     return float(os.cpu_count() or 1)
-
-
-def wait_ready(server: ModelServer, timeout_s: float = 30.0) -> None:
-    """Poll :attr:`ModelServer.ready` until the fleet can serve.
-
-    The readiness handshake (every worker alive and heartbeat-answered) is
-    what the bench scripts poll instead of sleeping an arbitrary interval.
-
-    Example::
-
-        with ModelServer(registry, workers=4) as server:
-            wait_ready(server)
-    """
-    deadline = time.monotonic() + timeout_s
-    while not server.ready:
-        if time.monotonic() >= deadline:
-            raise RuntimeError(
-                f"server not ready within {timeout_s:.0f}s "
-                f"({server.workers} workers)"
-            )
-        time.sleep(0.02)
 
 
 def _request_rows(X: np.ndarray, n_requests: int) -> np.ndarray:
@@ -267,29 +249,29 @@ def run_multi_worker_benchmark(
     datasets: Sequence[str] = DEFAULT_FLEET_DATASETS,
     kind: str = "ours",
     workers: int = DEFAULT_WORKERS,
-    lanes_per_worker: int = 1,
     client_threads: int = DEFAULT_CLIENT_THREADS,
     requests_per_client: int = 1024,
     burst: int = 64,
     slo_duration_s: float = 1.5,
     seed: int = 0,
 ) -> Dict:
-    """Fleet vs single-process oracle on a multi-model mix.
+    """The pre-fork fleet vs one server process, over HTTP, on a model mix.
 
     Every dataset's design is trained (fast flow configuration) in this
-    process first, so the forked workers inherit the warm flow cache and
-    boot without retraining.  The same closed-loop load then runs against
-    a ``workers=0`` server and a ``workers=N`` fleet; the fleet adds
-    open-loop sustained/bursty SLO runs (rates anchored to its measured
-    capacity) and a saturation ramp.
+    process first, so the forked fleet inherits the warm flow cache and
+    boots without retraining.  The same closed-loop load then runs, through
+    one :class:`~repro.serve.loadgen.HTTPTarget` per server, against a
+    ``ModelServer`` behind :func:`~repro.serve.http.serve_in_thread` and
+    against a fleet of ``workers`` children; the fleet adds open-loop
+    sustained/bursty SLO runs and a saturation ramp.
 
-    Bit-exactness is structural — a worker embeds the ``workers=0`` server
-    — and verified anyway: both servers' answers are compared against the
+    Bit-exactness is structural — every child is a single-process server —
+    and verified anyway: both servers' answers are compared against the
     designs' direct ``simulate_batch`` ids.
 
     Example::
 
-        fleet = run_multi_worker_benchmark(workers=4, lanes_per_worker=1)
+        fleet = run_multi_worker_benchmark(workers=4)
         fleet["speedup_vs_single_process"]      # >= 2.5 on a >=4-core host
         fleet["slo"]["bursty"]["latency_p999_ms"]
     """
@@ -303,79 +285,76 @@ def run_multi_worker_benchmark(
         rows = np.asarray(result.split.X_test, dtype=float)
         mix.append(ModelTraffic(name, rows))
         expected[name] = np.asarray(result.design.simulate_batch(rows), np.int64)
+    names = [traffic.name for traffic in mix]
 
-    def bit_exact(server: ModelServer) -> bool:
-        for traffic in mix:
-            answer = server.predict_many(traffic.name, traffic.rows)
-            got = np.asarray(answer["class_ids"], dtype=np.int64)
-            if not np.array_equal(got, expected[traffic.name]):
-                return False
-        return True
+    def bit_exact(target: HTTPTarget) -> bool:
+        return all(
+            np.array_equal(target.predict_ids(t.name, t.rows), expected[t.name])
+            for t in mix
+        )
 
-    def serve_all(server: ModelServer) -> None:
-        for traffic in mix:
-            server.open_lane(traffic.name)
+    def closed_loop(target: HTTPTarget):
+        return run_closed_loop(
+            target,
+            mix,
+            n_clients=client_threads,
+            requests_per_client=requests_per_client,
+            burst=burst,
+            seed=seed,
+        )
 
     with ModelServer(registry, max_latency_ms=0.5) as oracle:
-        serve_all(oracle)
-        oracle_exact = bit_exact(oracle)
-        single = run_closed_loop(
-            oracle,
-            mix,
-            n_clients=client_threads,
-            requests_per_client=requests_per_client,
-            burst=burst,
-            seed=seed,
-        )
+        for name in names:
+            oracle.open_lane(name)
+        httpd = serve_in_thread(oracle)
+        try:
+            host, port = httpd.server_address[:2]
+            with HTTPTarget(f"http://{host}:{port}") as target:
+                oracle_exact = bit_exact(target)
+                single = closed_loop(target)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
 
-    with ModelServer(
-        registry,
-        max_latency_ms=0.5,
-        workers=workers,
-        lanes_per_worker=lanes_per_worker,
-    ) as fleet:
-        wait_ready(fleet)
-        serve_all(fleet)
-        fleet_exact = bit_exact(fleet)
-        closed = run_closed_loop(
-            fleet,
-            mix,
-            n_clients=client_threads,
-            requests_per_client=requests_per_client,
-            burst=burst,
-            seed=seed,
-        )
-        # The open-loop knee is far below the burst-amortized closed-loop
-        # number (one frame per request), so find it first and anchor the
-        # SLO runs at half of it: tails then reflect service jitter, not a
-        # saturated queue growing without bound.
-        saturation = find_saturation(
-            fleet,
-            mix,
-            start_rate=max(0.05 * closed.achieved_rate, 200.0),
-            duration_s=0.4,
-            max_steps=7,
-            seed=seed,
-        )
-        slo_rate = max(0.5 * saturation["saturation_rate_per_s"], 100.0)
-        sustained = run_open_loop(
-            fleet, mix, rate=slo_rate, duration_s=slo_duration_s, seed=seed
-        )
-        bursty = run_open_loop(
-            fleet,
-            mix,
-            rate=slo_rate,
-            duration_s=slo_duration_s,
-            pattern="bursty",
-            seed=seed,
-        )
-        fleet_stats = fleet.stats()
+    pid, url = spawn_fleet(registry, names, workers, max_latency_ms=0.5)
+    try:
+        HTTPClient(url).wait_ready()
+        with HTTPTarget(url) as target:
+            fleet_exact = bit_exact(target)
+            closed = closed_loop(target)
+            # A bulk request of `burst` rows costs a single-row request at
+            # least, so the closed loop's request rate is a rate the open
+            # loop sustains: start the knee search at half of it, and run
+            # the SLO runs at half the knee, where tails show service jitter
+            # rather than a queue growing without bound.
+            saturation = find_saturation(
+                target,
+                mix,
+                start_rate=max(0.5 * closed.achieved_rate / burst, 50.0),
+                duration_s=0.4,
+                max_steps=7,
+                seed=seed,
+            )
+            slo_rate = max(0.5 * saturation["saturation_rate_per_s"], 100.0)
+            sustained = run_open_loop(
+                target, mix, rate=slo_rate, duration_s=slo_duration_s, seed=seed
+            )
+            bursty = run_open_loop(
+                target,
+                mix,
+                rate=slo_rate,
+                duration_s=slo_duration_s,
+                pattern="bursty",
+                seed=seed,
+            )
+        fleet_stats = HTTPClient(url).stats()
+    finally:
+        stop_fleet(pid)
 
     return {
         "datasets": list(datasets),
         "kind": kind,
         "workers": int(workers),
-        "lanes_per_worker": int(lanes_per_worker),
         "client_threads": int(client_threads),
         "effective_cpus": _effective_cpus(),
         "single_process": {
@@ -441,14 +420,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=DEFAULT_WORKERS,
-        help="worker processes in the multi-worker fleet measurement "
+        help="children of the pre-fork fleet measurement "
         "(0 skips the fleet section entirely)",
-    )
-    parser.add_argument(
-        "--lanes-per-worker",
-        type=int,
-        default=1,
-        help="soft cap on model lanes per worker in the fleet measurement",
     )
     parser.add_argument(
         "--fleet-datasets",
@@ -496,7 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             datasets=args.fleet_datasets,
             kind=args.kind,
             workers=args.workers,
-            lanes_per_worker=args.lanes_per_worker,
         )
     if args.compare:
         compare_benchmarks(results, baseline)

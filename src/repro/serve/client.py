@@ -102,8 +102,8 @@ class HTTPClient:
     restart), with up to ``retries`` resends under exponential backoff.
     Predict requests additionally retry on a ``503`` answer — the status a
     draining or not-yet-ready server returns — because the served kernels
-    are pure functions of their rows: resending is idempotent, so a worker
-    restart behind the frontend is invisible to callers.  Other verbs never
+    are pure functions of their rows: resending is idempotent, so a fleet
+    child's crash and restart are invisible to callers.  Other verbs never
     retry on status (a ``healthz`` 503 *is* the answer).  Thread-safe:
     concurrent callers serialize on the connection; use one client per
     thread for parallel load.

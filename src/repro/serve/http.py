@@ -17,10 +17,9 @@ Routes
 * ``GET /stats`` — per-model request rates, batch occupancy, p50/p99.
 * ``GET /models`` — metadata of every loaded model.
 * ``GET /healthz`` — liveness (``503`` once shutdown has begun) plus a
-  ``ready`` field: whether the server — including every worker process in
-  fleet mode — can answer predict requests right now.  Bench scripts and
-  clients poll it instead of sleeping (see
-  :meth:`repro.serve.client.HTTPClient.wait_ready`).
+  ``ready`` field: whether the server — in a pre-fork fleet, every child —
+  can answer predict requests right now.  Bench scripts and clients poll it
+  instead of sleeping (see :meth:`repro.serve.client.HTTPClient.wait_ready`).
 
 Example::
 
@@ -155,7 +154,10 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
             else:
                 self._send_json({"status": "ok", "ready": model_server.ready})
         elif self.path == "/stats":
-            self._send_json(model_server.stats())
+            try:
+                self._send_json(model_server.stats())
+            except ServerClosed as error:
+                self._send_error_json(503, str(error))
         elif self.path == "/models":
             self._send_json({"models": model_server.models()})
         else:

@@ -2,8 +2,9 @@
 
 The serving claims in the paper's setting are throughput/latency claims, so
 this module makes them measurable: seeded, reproducible load against a live
-:class:`~repro.serve.server.ModelServer` (in-process or fleet) with the two
-canonical driving disciplines:
+:class:`~repro.serve.server.ModelServer`, or against any ``repro-serve``
+endpoint through :class:`HTTPTarget`, with the two canonical driving
+disciplines:
 
 * **Open loop** (:func:`run_open_loop`) — requests arrive on a schedule
   drawn *in advance* from a Poisson process (``sustained``) or an
@@ -29,12 +30,13 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.serve.client import HTTPClient
 from repro.serve.stats import percentile
 
 #: Bursty open-loop defaults: the burst windows run at ``burst_factor`` times
@@ -44,6 +46,11 @@ DEFAULT_BURST_FACTOR = 4.0
 DEFAULT_BURST_FRACTION = 0.2
 #: Window length the bursty schedule alternates on (seconds).
 BURST_PERIOD_S = 0.25
+#: Sender threads (each one keep-alive connection) behind
+#: :meth:`HTTPTarget.submit`.  They share this process's GIL, so an
+#: open-loop knee measured through them is the client's as well as the
+#: server's: on a 2-vCPU host 16 senders read a fleet's knee 8% higher.
+HTTP_SENDERS = 8
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,67 @@ class ModelTraffic:
     #: Pool of valid single-sample feature rows requests are drawn from.
     rows: np.ndarray
     weight: float = 1.0
+
+
+class HTTPTarget:
+    """The ``submit`` / ``submit_many`` surface the load runs call, over HTTP.
+
+    Each calling thread keeps its own keep-alive :class:`HTTPClient`.
+    :meth:`submit_many` sends one bulk request from the calling thread (a
+    closed-loop client waits for it anyway); :meth:`submit` sends from a
+    pool of :data:`HTTP_SENDERS` threads, so an open-loop schedule never
+    waits for a reply before firing the next request.
+
+    Example::
+
+        with HTTPTarget("http://127.0.0.1:8000") as target:
+            run_closed_loop(target, mix, n_clients=4)
+    """
+
+    def __init__(self, url: str) -> None:
+        self.url = url
+        self._local = threading.local()
+        self._clients: List[HTTPClient] = []
+        self._lock = threading.Lock()
+        self._pool = ThreadPoolExecutor(HTTP_SENDERS, thread_name_prefix="http-target")
+
+    def _client(self) -> HTTPClient:
+        client = getattr(self._local, "client", None)
+        if client is None:
+            client = self._local.client = HTTPClient(self.url)
+            with self._lock:
+                self._clients.append(client)
+        return client
+
+    def predict_ids(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Class ids of ``rows`` from one bulk ``/predict``."""
+        answer = self._client().predict_many(name, np.asarray(rows).tolist())
+        return np.asarray(answer["class_ids"], dtype=np.int64)
+
+    def submit(self, name: str, rows: np.ndarray) -> Future:
+        return self._pool.submit(self.predict_ids, name, rows)
+
+    def submit_many(self, name: str, rows: np.ndarray) -> List[Future]:
+        ids = self.predict_ids(name, rows)
+        futures = []
+        for i in range(ids.shape[0]):
+            future: Future = Future()
+            future.set_result(ids[i : i + 1])
+            futures.append(future)
+        return futures
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+        with self._lock:
+            clients, self._clients = self._clients, []
+        for client in clients:
+            client.close()
+
+    def __enter__(self) -> "HTTPTarget":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass
@@ -369,8 +437,9 @@ def find_saturation(
     """Geometric open-loop rate ramp to the server's saturation knee.
 
     Doubles (``growth``) the offered rate until the achieved rate drops
-    below ``achieved_floor`` of it (or errors appear), and reports the last
-    sustainable rate plus every step's measurement.
+    below ``achieved_floor`` of the rate the step's schedule offered (or
+    errors appear), and reports the last sustainable rate plus every step's
+    measurement.
 
     Example::
 
@@ -385,8 +454,12 @@ def find_saturation(
             server, mix, rate=rate, duration_s=duration_s, seed=seed + step
         )
         record = result.to_json()
+        # Judged against the rate the Poisson schedule actually offered: a
+        # short step's arrival count alone strays from its mean by more
+        # than 15% (about 60 arrivals at 150 req/s for 0.4 s).
+        offered = sum(result.requests_by_model.values()) / duration_s
         saturated = (
-            result.achieved_rate < achieved_floor * rate or result.n_errors > 0
+            result.achieved_rate < achieved_floor * offered or result.n_errors > 0
         )
         record["saturated"] = saturated
         steps.append(record)

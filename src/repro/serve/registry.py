@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.design_flow import MODEL_KINDS, FlowConfig
+from repro.core.design_flow import MODEL_KINDS, FlowConfig, job_content_key
 from repro.core.flow_executor import CacheSpec, execute_flow_grid, run_flow_cached
 from repro.datasets import available_datasets
 from repro.serve.model import ServedModel
@@ -122,8 +122,6 @@ class ModelRegistry:
 
     def _wrap(self, result, name: str) -> ServedModel:
         """Build the served view, annotating MAC opt stats when requested."""
-        from repro.jobs.manifest import job_content_key
-
         model = ServedModel.from_flow_result(result, name=name)
         # The content key the job service files this result under: lets a
         # /models consumer join served metadata against a `repro-jobs` store.

@@ -5,6 +5,8 @@ Every :class:`~repro.serve.server.ModelServer` keeps one
 places — the request path (per-request latency) and the micro-batcher worker
 (per-micro-batch size) — and read by the ``/stats`` HTTP route, so every
 operation is guarded by one lock and a snapshot is a plain JSON-ready dict.
+A pre-fork fleet merges the raw :meth:`StatsRecorder.state` of every child
+with :func:`summarize`, the same function a single snapshot goes through.
 
 Example::
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Sequence
 
 #: How many recent request latencies the percentile reservoir keeps.
 LATENCY_RESERVOIR_SIZE = 4096
@@ -94,29 +96,54 @@ class StatsRecorder:
             self._batched_samples_total += int(n_samples)
 
     # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, float]:
-        """A JSON-serializable view of everything recorded so far."""
+    def state(self) -> Dict[str, object]:
+        """The raw counters and latency reservoir (what :func:`summarize` merges)."""
         with self._lock:
-            elapsed = max(time.monotonic() - self._started, 1e-9)
-            latencies = sorted(self._latencies)
-            mean_batch: Optional[float] = None
-            if self._batches_total:
-                mean_batch = self._batched_samples_total / self._batches_total
             return {
+                "max_batch_size": self.max_batch_size,
+                "uptime_s": max(time.monotonic() - self._started, 1e-9),
                 "requests_total": self._requests_total,
                 "samples_total": self._samples_total,
                 "errors_total": self._errors_total,
-                "uptime_s": elapsed,
-                "requests_per_s": self._requests_total / elapsed,
-                "samples_per_s": self._samples_total / elapsed,
                 "batches_total": self._batches_total,
-                "mean_batch_size": mean_batch if mean_batch is not None else 0.0,
-                "batch_occupancy": (
-                    (mean_batch / self.max_batch_size)
-                    if mean_batch is not None and self.max_batch_size
-                    else 0.0
-                ),
-                "latency_p50_ms": 1000.0 * percentile(latencies, 0.50),
-                "latency_p99_ms": 1000.0 * percentile(latencies, 0.99),
-                "latency_samples": len(latencies),
+                "batched_samples_total": self._batched_samples_total,
+                "latencies_s": list(self._latencies),
             }
+
+    def snapshot(self) -> Dict[str, float]:
+        """A JSON-serializable view of everything recorded so far."""
+        return summarize([self.state()])
+
+
+def summarize(states: Sequence[Dict[str, object]]) -> Dict[str, float]:
+    """One ``/stats`` model section from the :meth:`StatsRecorder.state` of
+    one recorder or of several processes serving the same model.
+
+    Counters and rates add up; p50/p99 are taken over the union of the
+    latency reservoirs, so a fleet reports what one process would.
+
+    Example::
+
+        summarize([a.state(), b.state()])["requests_total"]   # a's + b's
+    """
+    requests = sum(s["requests_total"] for s in states)
+    samples = sum(s["samples_total"] for s in states)
+    batches = sum(s["batches_total"] for s in states)
+    batched = sum(s["batched_samples_total"] for s in states)
+    max_batch_size = max((s["max_batch_size"] for s in states), default=0)
+    latencies = sorted(value for s in states for value in s["latencies_s"])
+    mean_batch = batched / batches if batches else 0.0
+    return {
+        "requests_total": requests,
+        "samples_total": samples,
+        "errors_total": sum(s["errors_total"] for s in states),
+        "uptime_s": max((s["uptime_s"] for s in states), default=0.0),
+        "requests_per_s": sum(s["requests_total"] / s["uptime_s"] for s in states),
+        "samples_per_s": sum(s["samples_total"] / s["uptime_s"] for s in states),
+        "batches_total": batches,
+        "mean_batch_size": mean_batch,
+        "batch_occupancy": mean_batch / max_batch_size if max_batch_size else 0.0,
+        "latency_p50_ms": 1000.0 * percentile(latencies, 0.50),
+        "latency_p99_ms": 1000.0 * percentile(latencies, 0.99),
+        "latency_samples": len(latencies),
+    }

@@ -1,6 +1,6 @@
-"""Length-prefixed binary framing between the frontend and its workers.
+"""Length-prefixed binary framing between a parent and its forked workers.
 
-The frontend/worker split (see :mod:`repro.serve.worker`) speaks a tiny
+The job service's flow workers (:mod:`repro.jobs.worker`) speak a tiny
 binary protocol over a ``socketpair``: every message is one *frame* — a
 5-byte header (one message-kind byte plus a big-endian ``uint32`` payload
 length) followed by the payload bytes.  Payloads are pickled Python tuples
@@ -9,24 +9,18 @@ forked, so pickle's trust model is the process boundary's own).
 
 Frame kinds
 -----------
-* ``MSG_REQUEST`` — ``(req_id, model_name, mode, rows)``: predict work.
-  ``mode`` selects the response shape (``"single"``/``"bulk"`` answer the
-  HTTP-style dicts, ``"ids"`` a raw class-id array, ``"ids_burst"`` one id
-  array for rows submitted as independent single-sample requests).
-* ``MSG_CONTROL`` — ``(req_id, op, arg)``: ``"ping"`` (heartbeat),
-  ``"stats"``, ``"models"``, ``"open_lane"``.
+* ``MSG_REQUEST`` — ``(req_id, ...)``: one unit of work.
+* ``MSG_CONTROL`` — ``(req_id, op, arg)``: ``"ping"`` (heartbeat).
 * ``MSG_RESPONSE`` / ``MSG_ERROR`` — ``(req_id, payload)`` /
   ``(req_id, error_kind, message)``: the answer to a request or control
-  frame, matched by ``req_id`` (responses may arrive out of order; the
-  worker answers as micro-batches complete).
-* ``MSG_SHUTDOWN`` — ``(drain,)``: one-way; the worker drains (or fails
-  fast), closes its end and exits.  The resulting EOF is the parent's
-  completion signal.
+  frame, matched by ``req_id``.
+* ``MSG_SHUTDOWN`` — ``(drain,)``: one-way; the worker closes its end and
+  exits.  The resulting EOF is the parent's completion signal.
 
 Crash detection is framing-level: a worker that dies mid-frame or closes
 its socket surfaces as ``None`` from :meth:`FrameConnection.recv` (clean
-EOF) or :class:`TransportError` (torn frame), and the frontend reacts by
-restarting the worker and resubmitting its pending requests.
+EOF) or :class:`TransportError` (torn frame), and the parent treats the
+worker as crashed.
 
 Example::
 
@@ -57,11 +51,9 @@ MSG_RESPONSE = 3
 MSG_ERROR = 4
 MSG_SHUTDOWN = 5
 
-#: Error kinds carried by ``MSG_ERROR`` (mapped back to exception types on
-#: the frontend: ``value`` -> ValueError, ``closed`` -> ServerClosed,
-#: anything else -> RuntimeError).
+#: Error kinds carried by ``MSG_ERROR``: ``value`` for bad input, anything
+#: else for a failure inside the worker.
 ERROR_VALUE = "value"
-ERROR_CLOSED = "closed"
 ERROR_INTERNAL = "internal"
 
 
@@ -80,17 +72,12 @@ class TransportError(RuntimeError):
 class WorkerCrashed(RuntimeError):
     """Raised to callers whose worker died before answering.
 
-    Predict requests are resubmitted transparently on the restarted worker
-    (the kernels are pure functions of their rows), so user-visible
-    ``WorkerCrashed`` is reserved for non-idempotent bookkeeping calls and
-    for workers that died with restarts disabled.
-
     Example::
 
         try:
-            handle.call(MSG_CONTROL, ("stats", None)).result()
+            worker.call(job_doc, timeout=300.0)
         except WorkerCrashed:
-            ...  # skip this worker in the aggregate view
+            ...  # kill the handle and retry the job on another worker
     """
 
 
@@ -136,11 +123,11 @@ def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
 
 
 class FrameConnection:
-    """One framed, thread-safe end of a frontend<->worker socket.
+    """One framed, thread-safe end of a parent<->worker socket.
 
-    Sends are serialized by a lock (micro-batch completion callbacks answer
-    from several worker threads); receives are meant to be driven by a
-    single reader loop per connection.
+    Sends are serialized by a lock, so several threads may send on one
+    connection; receives are meant to be driven by a single reader loop per
+    connection.
 
     Example::
 

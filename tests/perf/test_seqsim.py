@@ -15,8 +15,10 @@ from repro.hw.simulate import (
     SequentialDatapathSimulator,
     simulate_sequential_reference,
 )
+from repro.perf import engines
 from repro.perf.bitsim import words_to_ints, words_to_signed_ints
 from repro.perf.seqsim import (
+    SequentialEvaluator,
     compile_sequential,
     sequential_evaluator_for,
     simulate_sequential_batch,
@@ -132,6 +134,22 @@ class TestDffInitAndReset:
         ref = simulate_sequential_reference(netlist, {}, 2, init={"dff1": 1})
         assert sum(int(ref[0][b]) << b for b in range(3)) == 2
         assert sum(int(ref[1][b]) << b for b in range(3)) == 3
+
+
+def test_evaluator_construction_goes_through_the_engines_module(monkeypatch):
+    """Building a SequentialEvaluator calls whatever
+    ``repro.perf.engines.make_evaluator`` is at call time, so a wrapper
+    installed there (a profiler, a span) sees the cone's kernel build."""
+    calls = []
+    original = engines.make_evaluator
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "make_evaluator", spy)
+    SequentialEvaluator(compile_sequential(_shift_register()))
+    assert len(calls) == 1
 
 
 class TestStructuralInvalidation:

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.serve.client import Client, HTTPClient, HTTPError
 from repro.serve.http import serve_in_thread
 from repro.serve.server import ModelServer
+from repro.serve.worker import spawn_fleet, stop_fleet
 
 from .conftest import MODEL_NAME
 
@@ -34,18 +41,17 @@ def endpoint(server):
 
 @pytest.fixture()
 def fleet_endpoint(registry):
-    """A two-worker fleet over the test registry, behind HTTP."""
-    server = ModelServer(registry, max_batch_size=16, max_latency_ms=1.0, workers=2)
-    httpd = serve_in_thread(server, port=0)
-    host, port = httpd.server_address[:2]
-    client = HTTPClient(f"http://{host}:{port}", timeout=30.0)
+    """A two-child pre-fork fleet over the test registry."""
+    pid, url = spawn_fleet(
+        registry, [MODEL_NAME], 2, max_batch_size=16, max_latency_ms=1.0
+    )
+    client = HTTPClient(url, timeout=30.0)
     try:
         assert client.wait_ready(timeout_s=30.0)["ready"] is True
         yield client
     finally:
-        httpd.shutdown()
-        httpd.server_close()
-        server.shutdown()
+        client.close()
+        stop_fleet(pid)
 
 
 def _raw_exchange(httpd_url: str, request: bytes) -> bytes:
@@ -197,7 +203,7 @@ def test_http_error_codes(endpoint, request_rows):
 
 @requires_fork
 def test_fleet_http_error_codes(fleet_endpoint, request_rows):
-    """The fleet converts features in the frontend: same 400s as in-process."""
+    """Every child is the single-process server: the same 400s."""
     _assert_error_codes(fleet_endpoint, request_rows)
     # The fleet still answers after every rejected request.
     assert "class_id" in fleet_endpoint.predict(MODEL_NAME, list(request_rows[0]))
@@ -227,28 +233,15 @@ def test_healthz_reports_ready(endpoint):
     assert endpoint.wait_ready(timeout_s=5.0)["ready"] is True
 
 
-def test_fleet_endpoint_end_to_end(registry, sequential_design, request_rows):
-    """HTTP over a worker fleet: poll ready, predict, aggregated stats."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fleet needs the fork start method")
-    server = ModelServer(registry, max_batch_size=16, max_latency_ms=1.0, workers=2)
-    httpd = serve_in_thread(server, port=0)
-    host, port = httpd.server_address[:2]
-    client = HTTPClient(f"http://{host}:{port}", timeout=30.0)
-    try:
-        assert client.wait_ready(timeout_s=30.0)["ready"] is True
-        expected = sequential_design.simulate_batch(request_rows)
-        out = client.predict_many(MODEL_NAME, request_rows.tolist())
-        assert out["class_ids"] == [int(i) for i in expected]
-        stats = client.stats()
-        assert stats["models"][MODEL_NAME]["requests_total"] >= 1
-        assert [w["alive"] for w in stats["workers"]] == [True, True]
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        server.shutdown()
+@requires_fork
+def test_fleet_endpoint_end_to_end(fleet_endpoint, sequential_design, request_rows):
+    """HTTP over a pre-fork fleet: poll ready, predict, fleet-wide stats."""
+    expected = sequential_design.simulate_batch(request_rows)
+    out = fleet_endpoint.predict_many(MODEL_NAME, request_rows.tolist())
+    assert out["class_ids"] == [int(i) for i in expected]
+    stats = fleet_endpoint.stats()
+    assert stats["models"][MODEL_NAME]["requests_total"] >= 1
+    assert [w["alive"] for w in stats["workers"]] == [True, True]
 
 
 def test_predict_retries_on_503_with_backoff(request_rows):
@@ -389,65 +382,40 @@ def test_cli_serves_http_end_to_end(monkeypatch, tiny_flow_config):
     assert not thread.is_alive()
 
 
-def test_cli_serves_worker_fleet_end_to_end(monkeypatch, tiny_flow_config):
-    """repro-serve --workers 2: training happens in the workers, /healthz
-    turns ready, and predictions flow through the frontend router."""
-    import multiprocessing
-
-    import repro.cli as cli
-    import repro.serve.http as serve_http
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fleet needs the fork start method")
-
-    captured = {}
-    original = serve_http.ServingHTTPServer.serve_forever
-
-    def capturing_serve_forever(self, *args, **kwargs):
-        captured["httpd"] = self
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(
-        serve_http.ServingHTTPServer, "serve_forever", capturing_serve_forever
-    )
-    monkeypatch.setattr(cli, "fast_config", lambda: tiny_flow_config)
-
-    thread = threading.Thread(
-        target=cli.main_serve,
-        args=(
-            [
-                "--models",
-                "redwine/ours",
-                "--port",
-                "0",
-                "--fast",
-                "--no-cache",
-                "--workers",
-                "2",
-                "--lanes-per-worker",
-                "1",
-            ],
-        ),
-        daemon=True,
-    )
-    thread.start()
-    deadline = time.monotonic() + 120.0
-    while "httpd" not in captured and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert "httpd" in captured, "CLI fleet server did not come up"
-    httpd = captured["httpd"]
-    host, port = httpd.server_address[:2]
-    client = HTTPClient(f"http://{host}:{port}", timeout=30.0)
+@requires_fork
+def test_cli_serves_worker_fleet_end_to_end(tmp_path):
+    """repro-serve --workers 2 as its own process: it prints its address
+    once every child is ready, every child serves every model, and SIGINT
+    drains the fleet and exits 0."""
+    command = [
+        sys.executable, "-m", "repro.serve", "--fast", "--samples", "220",
+        "--cache-dir", str(tmp_path), "--workers", "2", "--port", "0",
+        "--models", "redwine/ours", "cardio/ours",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    process = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env)
     try:
-        assert client.wait_ready(timeout_s=60.0)["ready"] is True
+        watchdog = threading.Timer(120.0, process.kill)
+        watchdog.start()
+        try:
+            announced = next(
+                (line for line in process.stdout if line.startswith("serving on")), ""
+            )
+        finally:
+            watchdog.cancel()
+        assert announced, "CLI fleet server did not come up"
+        client = HTTPClient(announced.split()[2], timeout=30.0)
+        assert client.healthz()["ready"] is True
         models = client.models()["models"]
-        assert [m["name"] for m in models] == ["redwine/ours"]
+        assert sorted(m["name"] for m in models) == ["cardio/ours", "redwine/ours"]
         out = client.predict("redwine/ours", [0.5] * models[0]["n_features"])
         assert out["model"] == "redwine/ours"
         stats = client.stats()
         assert len(stats["workers"]) == 2
-        assert sum(len(w["models"]) for w in stats["workers"]) == 1
+        for worker in stats["workers"]:
+            assert sorted(worker["models"]) == ["cardio/ours", "redwine/ours"]
+        client.close()
     finally:
-        httpd.shutdown()
-        thread.join(timeout=60.0)
-    assert not thread.is_alive()
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=60.0) == 0
+        process.stdout.close()

@@ -20,7 +20,7 @@ from repro.serve import server as server_module
 from repro.serve.batching import DEFAULT_MAX_BATCH_SIZE, DEFAULT_MAX_LATENCY_MS, MicroBatcher
 from repro.serve.http import _ServingRequestHandler, serve_in_thread
 from repro.serve.server import ModelServer
-from repro.serve.worker import WorkerSpec
+from repro.serve.worker import Supervisor, worker_main
 
 from .conftest import MODEL_NAME
 
@@ -32,7 +32,9 @@ def test_every_layer_defaults_to_one_straggler_window(registry):
     with ModelServer(registry) as server:
         assert server.max_latency_ms == DEFAULT_MAX_LATENCY_MS
         assert server.stats()["max_latency_ms"] == DEFAULT_MAX_LATENCY_MS
-    assert WorkerSpec().max_latency_ms == DEFAULT_MAX_LATENCY_MS
+    for fleet_layer in (Supervisor, worker_main):
+        default = inspect.signature(fleet_layer).parameters["max_latency_ms"].default
+        assert default == DEFAULT_MAX_LATENCY_MS
     assert _serve_parser().parse_args([]).max_latency_ms == DEFAULT_MAX_LATENCY_MS
 
 
@@ -43,7 +45,9 @@ def test_every_layer_defaults_to_one_batch_ceiling(registry):
     with ModelServer(registry) as server:
         assert server.max_batch_size == DEFAULT_MAX_BATCH_SIZE
         assert server.stats()["max_batch_size"] == DEFAULT_MAX_BATCH_SIZE
-    assert WorkerSpec().max_batch_size == DEFAULT_MAX_BATCH_SIZE
+    for fleet_layer in (Supervisor, worker_main):
+        default = inspect.signature(fleet_layer).parameters["max_batch_size"].default
+        assert default == DEFAULT_MAX_BATCH_SIZE
     assert _serve_parser().parse_args([]).max_batch_size == DEFAULT_MAX_BATCH_SIZE
 
 

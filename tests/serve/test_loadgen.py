@@ -93,6 +93,17 @@ def test_find_saturation_reports_knee_structure(server, mix):
         assert "saturated" in step
 
 
+def test_find_saturation_judges_the_load_actually_offered(server, mix):
+    """A short step whose Poisson draw fell well below its mean rate is not
+    a saturated server: the achieved rate is held against what was sent."""
+    assert len(build_schedule(100.0, 0.4, seed=1)) < 0.85 * 100.0 * 0.4
+    knee = find_saturation(
+        server, mix, start_rate=100.0, duration_s=0.4, max_steps=1, seed=1
+    )
+    assert knee["steps"][0]["saturated"] is False
+    assert knee["saturation_rate_per_s"] > 0.0
+
+
 def test_empty_mix_rejected(server):
     with pytest.raises(ValueError, match="mix"):
         run_open_loop(server, [], rate=10.0, duration_s=0.1)

@@ -2,9 +2,10 @@
 
 Pins the edges the layer map in ``docs/architecture.md`` relies on: the
 toolchain module sits below every package, so the trainer in ``ml`` can
-compile its epoch kernel without reaching up into ``perf``, and the native
-engine no longer reaches into ``core`` for its cache root.  Every import
-statement counts, including those inside functions.
+compile its epoch kernel without reaching up into ``perf``, the native
+engine no longer reaches into ``core`` for its cache root, and ``serve`` and
+``jobs`` form no import cycle.  Every import statement counts, including
+those inside functions.
 
 Known upward imports outside these three modules are not pinned here:
 ``ml/feature_selection.py`` imports ``core``, and ``perf/benchmark.py`` and
@@ -69,3 +70,21 @@ def test_svm_trainer_imports_nothing_above_ml():
 def test_native_engine_imports_nothing_above_perf():
     above = ("repro.core", "repro.serve", "repro.jobs", "repro.eval")
     assert not {n for n in imported_modules("perf/native.py") if _inside(n, above)}
+
+
+def _package_imports(package: str) -> Set[str]:
+    """Every module named by an import in any file of one subpackage."""
+    names: Set[str] = set()
+    for path in sorted((PACKAGE / package).glob("*.py")):
+        names |= imported_modules(f"{package}/{path.name}")
+    return names
+
+
+def test_serve_imports_nothing_from_jobs():
+    assert not {n for n in _package_imports("serve") if _inside(n, ("repro.jobs",))}
+
+
+def test_jobs_imports_only_the_serve_transport():
+    from_serve = {n for n in _package_imports("jobs") if _inside(n, ("repro.serve",))}
+    assert from_serve  # the frame transport
+    assert all(_inside(n, ("repro.serve.transport",)) for n in from_serve)
