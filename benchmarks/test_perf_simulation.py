@@ -142,12 +142,6 @@ def test_native_engine_speedup_floor(bench_results):
     )
     for name, rec in bench_results["gate_level"].items():
         assert rec["native_speedup_vs_interp"] > 0, name
-    scaling = bench_results["roofline"]["native_thread_scaling"]
-    for key in ("threads_1", "threads_2", "threads_4"):
-        assert scaling[key]["gate_evals_per_s"] > 0, key
-        # Sharding must never *cost* throughput wholesale (it is free on
-        # 1-core hosts, a win on real ones); generous slack for noise.
-        assert scaling[key]["scaling_vs_1_thread"] > 0.5, key
 
 
 @pytest.mark.perf_smoke

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (the CI docs job).
 
-Two classes of rot this catches:
+Three classes of rot this catches:
 
 1. **Dead links** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must resolve to an existing file or directory (anchors
@@ -10,6 +10,10 @@ Two classes of rot this catches:
    be defined in ``src/repro/cli.py``, and every flag ``cli.py`` defines
    must be documented in ``docs/cli.md``, so the CLI reference can never
    drift from the implementation in either direction.
+3. **Phantom environment variables** — every ``REPRO_*`` name in the
+   environment table of ``docs/cli.md`` must appear as a string literal
+   under ``src/`` or ``tests/``, and every ``REPRO_*`` string literal under
+   ``src/`` must have a row in that table.
 
 Usage (from anywhere)::
 
@@ -20,6 +24,7 @@ Exits non-zero listing every problem found.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -34,12 +39,20 @@ LINKED_DOCS = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"
 CLI_DOC = REPO_ROOT / "docs" / "cli.md"
 CLI_SOURCE = REPO_ROOT / "src" / "repro" / "cli.py"
 
+#: The Python trees searched for ``REPRO_*`` string literals.
+SRC_DIR = REPO_ROOT / "src"
+TESTS_DIR = REPO_ROOT / "tests"
+
 #: ``[text](target)`` markdown links (images included via the leading ``!?``).
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 #: Long-option tokens (``--jobs``, ``--max-batch-size``, ...).
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9]*(?:-[a-z0-9]+)*")
 #: Flag definitions inside add_argument calls.
 _ARGDEF_RE = re.compile(r"add_argument\(\s*\"(--[a-z0-9-]+)\"")
+#: A ``REPRO_*`` environment variable name.
+_ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+")
+#: A row of the environment table: ``| `REPRO_X` | effect |``.
+_ENV_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|")
 
 
 def check_links(paths: List[Path]) -> List[str]:
@@ -90,8 +103,44 @@ def check_cli_flags() -> List[str]:
     return problems
 
 
+def documented_env_vars() -> Set[str]:
+    """Every ``REPRO_*`` name with a row in the CLI reference's env table."""
+    rows = (_ENV_ROW_RE.match(line) for line in CLI_DOC.read_text().splitlines())
+    return {row.group(1) for row in rows if row}
+
+
+def env_var_literals(root: Path) -> Set[str]:
+    """Every string literal under ``root`` that is a ``REPRO_*`` name."""
+    return {
+        node.value
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _ENV_NAME_RE.fullmatch(node.value)
+    }
+
+
+def check_env_vars() -> List[str]:
+    """The env table and the code must agree on the ``REPRO_*`` names, both ways."""
+    problems: List[str] = []
+    documented = documented_env_vars()
+    read_by_src = env_var_literals(SRC_DIR)
+    for name in sorted(documented - read_by_src - env_var_literals(TESTS_DIR)):
+        problems.append(
+            f"docs/cli.md documents {name}, but no string literal under "
+            "src/ or tests/ names it"
+        )
+    for name in sorted(read_by_src - documented):
+        problems.append(
+            f"src/ names {name}, but the environment table of docs/cli.md "
+            "has no row for it"
+        )
+    return problems
+
+
 def main() -> int:
-    problems = check_links(LINKED_DOCS) + check_cli_flags()
+    problems = check_links(LINKED_DOCS) + check_cli_flags() + check_env_vars()
     if problems:
         print(f"{len(problems)} documentation problem(s):")
         for problem in problems:
@@ -102,7 +151,8 @@ def main() -> int:
     )
     print(
         f"docs OK: {len(LINKED_DOCS)} files, {n_links} links checked, "
-        f"{len(implemented_flags())} CLI flags consistent"
+        f"{len(implemented_flags())} CLI flags and "
+        f"{len(documented_env_vars())} env vars consistent"
     )
     return 0
 

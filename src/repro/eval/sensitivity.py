@@ -207,20 +207,10 @@ def _rebuild_design(flow_result, library):
     return ParallelMLPDesign(design.model, library=library, dataset=flow_result.dataset)
 
 
-#: Flow results of the sweep in progress, inherited by forked pool workers so
-#: the (identical, immutable, potentially large) payload is not re-pickled
-#: once per corner.  Set by :func:`sweep_pdk_parameters` around the fan-out.
-_SWEEP_FLOW_RESULTS: Optional[List] = None
-
-
-def _price_corner(corner: PDKCorner) -> Dict[str, ClassifierHardwareReport]:
-    """Re-price every design of one dataset under one corner (worker body).
-
-    Module-level so the corner sweep can fan out across a process pool; the
-    corners are independent (no retraining, shared immutable flow results),
-    so any completion order merges back deterministically by corner index.
-    """
-    flow_results = _SWEEP_FLOW_RESULTS
+def _price_corner(
+    flow_results: Sequence, corner: PDKCorner
+) -> Dict[str, ClassifierHardwareReport]:
+    """Re-price every design of one dataset under one corner."""
     library = build_corner_library(corner)
     reports: Dict[str, ClassifierHardwareReport] = {}
     for flow_result in flow_results:
@@ -235,7 +225,6 @@ def sweep_pdk_parameters(
     flow_results: Sequence,
     corners: Iterable[PDKCorner] = DEFAULT_CORNERS,
     dataset: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> SensitivityReport:
     """Re-price a dataset's designs under every PDK corner.
 
@@ -249,10 +238,6 @@ def sweep_pdk_parameters(
         multi-parameter corners).
     dataset:
         Dataset name for the report (inferred from the first result if omitted).
-    jobs:
-        Shard corners across this many worker processes (``None``/1 = serial,
-        0 = all cores).  Corner pricing is deterministic, so the sharded
-        report is identical to the serial one.
     """
     flow_results = list(flow_results)
     if not flow_results:
@@ -260,34 +245,13 @@ def sweep_pdk_parameters(
     if not any(r.kind == "ours" for r in flow_results):
         raise ValueError("the sweep needs the proposed design ('ours') to compare against")
     dataset = dataset or flow_results[0].dataset
-    corners = list(corners)
-
-    from repro.core.flow_executor import resolve_jobs
-
-    n_jobs = resolve_jobs(jobs)
-    global _SWEEP_FLOW_RESULTS
-    _SWEEP_FLOW_RESULTS = flow_results
-    try:
-        if n_jobs > 1 and len(corners) > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            if multiprocessing.get_start_method() != "fork":
-                raise RuntimeError(
-                    "sweep_pdk_parameters(jobs>1) needs fork-based worker "
-                    "processes (workers inherit the flow results); "
-                    "run serially (jobs=1) on this platform"
-                )
-            with ProcessPoolExecutor(max_workers=min(n_jobs, len(corners))) as pool:
-                # Workers fork after _SWEEP_FLOW_RESULTS is set, so only the
-                # (tiny) corner objects cross the process boundary.
-                priced = list(pool.map(_price_corner, corners))
-        else:
-            priced = [_price_corner(corner) for corner in corners]
-    finally:
-        _SWEEP_FLOW_RESULTS = None
-
     report = SensitivityReport(dataset=dataset)
-    for corner, reports in zip(corners, priced):
-        report.corners.append(CornerResult(corner=corner, dataset=dataset, reports=reports))
+    for corner in corners:
+        report.corners.append(
+            CornerResult(
+                corner=corner,
+                dataset=dataset,
+                reports=_price_corner(flow_results, corner),
+            )
+        )
     return report

@@ -18,7 +18,6 @@ width, which downstream voters and registers need for sizing.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -31,13 +30,6 @@ from repro.hw.rtl.multipliers import (
     constant_multiplier,
     constant_multiplier_output_bits,
 )
-
-
-def accumulator_width(max_abs_score: int) -> int:
-    """Two's-complement width needed to hold a score of magnitude ``max_abs_score``."""
-    from repro.ml.fixed_point import required_bits_for_integer
-
-    return required_bits_for_integer(int(max_abs_score), signed=True)
 
 
 def synthesize_folded_mac(

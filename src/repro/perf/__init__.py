@@ -25,9 +25,9 @@ that with a two-stage compile -> bitsim pipeline:
   sequential engine, the benchmarks and the ``repro-table1 --engine`` flag.
 * :mod:`repro.perf.native` — the ``native`` engine: the same planned kernel
   emitted as C, compiled with the system toolchain (``-O2 -fPIC -shared``)
-  into a shared object called through ``ctypes`` (which releases the GIL,
-  so large batches shard the word axis across a persistent thread pool),
-  cached in memory and on disk under the ``$REPRO_CACHE_DIR`` root.
+  into a shared object called through ``ctypes`` (one call per batch, on
+  the calling thread), cached in memory and on disk under the
+  ``$REPRO_CACHE_DIR`` root.
   Degrades to ``codegen`` with a one-time warning on hosts without a C
   compiler.
 * :mod:`repro.perf.seqsim` — the *sequential* engine: clocked netlists

@@ -23,8 +23,7 @@ tracked PR over PR:
   ``codegen`` / ``native`` where a C toolchain exists, see
   :mod:`repro.perf.engines` and :mod:`repro.perf.native`) against a
   measured memcpy-bandwidth baseline, locating each engine between
-  dispatch-limited and machine-limited, plus a ``native`` thread-scaling
-  curve at 1/2/4 shards over the word axis.
+  dispatch-limited and machine-limited.
 
 Entry points: ``python scripts/bench_simulation.py`` (writes the JSON;
 ``--compare`` diffs a fresh run against the committed baseline instead) and
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import platform
 import statistics
 import time
@@ -398,12 +396,6 @@ def benchmark_roofline(
     engine still is from machine-limited execution (dispatch overhead shows
     up as a small fraction).  Workload: the 45-gate 5x5 array multiplier —
     the same netlist the perf-smoke engine floors are asserted on.
-
-    Where the ``native`` engine is available, a ``native_thread_scaling``
-    subsection additionally sweeps the same kernel at 1/2/4 forced shards
-    over the word axis on a larger batch (the ctypes call releases the GIL,
-    so shards run truly in parallel on multi-core hosts; on a 1-core host
-    the curve is honestly flat).
     """
     netlist = build_array_multiplier_netlist(5, 5)
     rng = np.random.default_rng(seed)
@@ -427,7 +419,7 @@ def benchmark_roofline(
             "effective_bytes_per_s": min_bytes / t,
             "fraction_of_memcpy": (min_bytes / t) / memcpy_bytes_per_s,
         }
-    result: Dict[str, object] = {
+    return {
         "workload": "array_multiplier_5x5",
         "n_gates": float(netlist.n_gates()),
         "n_ops": float(n_ops),
@@ -436,44 +428,6 @@ def benchmark_roofline(
         "memcpy_bytes_per_s": memcpy_bytes_per_s,
         "engines": engines,
     }
-    if "native" in engines:
-        # Thread-scaling curve on a batch wide enough that one shard's work
-        # dwarfs the pool handoff (>= 1024 words per shard at 4 shards).
-        scale_vectors = max(n_vectors, 262_144)
-        wide = rng.integers(0, 2, size=(scale_vectors, len(netlist.inputs)))
-        packed_wide, _ = pack_vectors(wide)
-        evaluator = evaluator_for(netlist, engine="native")
-        slots = evaluator.program.output_slots
-        gate_evals = netlist.n_gates() * scale_vectors
-
-        def sharded(threads: int) -> Callable[[], object]:
-            def run() -> object:
-                evaluator.threads = threads
-                return evaluator.evaluate_packed_slots(packed_wide, slots)
-
-            return run
-
-        scaling: Dict[str, Dict[str, float]] = {}
-        try:
-            for threads in (2, 4):
-                t_one, t, ratio = _time_pairs(sharded(1), sharded(threads))
-                scaling.setdefault(
-                    "threads_1",
-                    {"gate_evals_per_s": gate_evals / t_one, "scaling_vs_1_thread": 1.0},
-                )
-                scaling[f"threads_{threads}"] = {
-                    "gate_evals_per_s": gate_evals / t,
-                    "scaling_vs_1_thread": ratio,
-                }
-        finally:
-            evaluator.threads = None
-        result["native_thread_scaling"] = {
-            "n_vectors": float(scale_vectors),
-            "n_words": float(packed_wide.shape[1]),
-            "effective_cpus": float(os.cpu_count() or 1),
-            **scaling,
-        }
-    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -672,15 +626,5 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{record['gate_evals_per_s']:.3g} gate-evals/s  "
             f"({100 * record['fraction_of_memcpy']:.1f}% of memcpy bandwidth)"
         )
-    scaling = roofline.get("native_thread_scaling")
-    if scaling:
-        for key in ("threads_1", "threads_2", "threads_4"):
-            record = scaling[key]
-            print(
-                f"{'native-scale':14s} {key:24s} "
-                f"{record['gate_evals_per_s']:.3g} gate-evals/s  "
-                f"({record['scaling_vs_1_thread']:.2f}x vs 1 thread, "
-                f"{int(scaling['effective_cpus'])} cpus)"
-            )
     print(f"results written to {path}")
     return 0

@@ -28,10 +28,9 @@ provides drop-in replacements that execute the *same*
     The C twin of ``codegen`` (:mod:`repro.perf.native`): the same planned
     kernel is emitted as one C function of chained bitwise ops over
     ``uint64_t`` words, compiled with the system toolchain into a shared
-    object called through ``ctypes`` — which releases the GIL, so large
-    batches shard the word axis across a small persistent thread pool.
-    On hosts with no C compiler, ``native`` degrades to ``codegen`` with a
-    one-time warning.
+    object and called through ``ctypes``, once per batch on the calling
+    thread.  On hosts with no C compiler, ``native`` degrades to
+    ``codegen`` with a one-time warning.
 
 ``auto``
     ``codegen`` with an interpreted first tier, the way a JIT tiers up: a
@@ -57,7 +56,6 @@ points rather than these classes directly::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -85,35 +83,11 @@ from repro.perf.compile import (
 #: The recognised engine names, in documentation order.
 ENGINES = ("interp", "codegen", "native", "auto")
 
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    """An integer tuning knob from the environment, validated.
-
-    Unset or empty means ``default``.  Anything that is not an integer, or
-    an integer below ``minimum``, raises ``ValueError`` naming the variable
-    — a silently ignored typo in a roofline experiment is worse than a
-    startup crash.
-    """
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"environment variable {name}={raw!r} is not an integer"
-        ) from None
-    if value < minimum:
-        raise ValueError(f"environment variable {name}={value} is below {minimum}")
-    return value
-
-
 #: The codegen engine runs on Python bigints (one arbitrary-precision int
 #: per net row) up to this many words per row, and on numpy arrays beyond.
 #: Measured crossover on the 45-gate array multiplier: bigints win ~10x at
-#: 4 words and still ~3x at 128; numpy wins past ~512 words.  Overridable
-#: via ``$REPRO_BIGINT_MAX_WORDS`` (read once at import; 0 forces numpy).
-BIGINT_MAX_WORDS = _env_int("REPRO_BIGINT_MAX_WORDS", 256, minimum=0)
+#: 4 words and still ~3x at 128; numpy wins past ~512 words.
+BIGINT_MAX_WORDS = 256
 
 #: Under ``engine='auto'`` a slot tuple runs interpreted for this many
 #: bigint-domain calls and is compiled at the next one.  On the Table I

@@ -12,18 +12,11 @@ evaluator-construction time with the system toolchain
 calls it through :mod:`ctypes`:
 
 * **ABI** — ``void repro_kernel(const uint64_t *in, uint64_t *out,
-  int64_t n_words, int64_t w_lo, int64_t w_hi)``: ``in`` is the packed
-  input matrix (``n_inputs`` rows of ``n_words`` words, C-contiguous),
-  ``out`` the output matrix (one row per requested slot), and the kernel
-  computes only the word columns ``[w_lo, w_hi)``.  The word-range
-  arguments make thread sharding free: shards write disjoint columns, so
-  no synchronisation is needed.
-* **GIL-free parallelism** — ctypes releases the GIL for the duration of
-  the call, so :class:`NativeEvaluator` shards the word axis of large
-  batches across a small persistent thread pool (below
-  :data:`NATIVE_PARALLEL_MIN_WORDS` words it stays single-threaded: a
-  kernel call on a few words finishes in microseconds, under the cost of
-  waking a worker).
+  int64_t n_words)``: ``in`` is the packed input matrix (``n_inputs`` rows
+  of ``n_words`` words, C-contiguous) and ``out`` the output matrix (one
+  row per requested slot).  Every batch is one kernel call on the calling
+  thread: splitting the word axis across threads ran at 0.62–0.95x of one
+  thread on a 2-vCPU host (``docs/performance.md``), so nothing shards.
 * **caching** — compiled objects go through :func:`repro.toolchain.load_shared`
   (memory per process, disk under ``$REPRO_CACHE_DIR``), keyed by toolchain,
   flags and kernel source.  Structural netlist mutation produces different
@@ -35,10 +28,6 @@ calls it through :mod:`ctypes`:
   ``RuntimeWarning``, and ``'auto'`` never selects ``native`` — hosts
   without a toolchain keep working, just not faster.
 
-Tuning knobs (all validated at import): ``$REPRO_NATIVE_THREADS`` (shards
-per large batch, default ``min(4, cpu_count)``) and ``$REPRO_NATIVE_MIN_WORDS``
-(single-thread threshold, default 2048 words = 128 Ki vectors).
-
 Typical use goes through the ``engine=`` selector, not this module::
 
     evaluator_for(netlist, engine="native").evaluate(vectors)
@@ -48,10 +37,7 @@ Typical use goes through the ``engine=`` selector, not this module::
 from __future__ import annotations
 
 import ctypes
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,21 +45,11 @@ import numpy as np
 from repro import toolchain as _toolchain
 from repro.perf.bitsim import BitParallelEvaluator
 from repro.perf.compile import CompiledProgram
-from repro.perf.engines import _env_int, plan_kernel
+from repro.perf.engines import plan_kernel
 from repro.toolchain import Toolchain, native_available  # noqa: F401  (re-export)
 
 #: Compiler flags of the gate kernels (bitwise ops only, so no float rules).
 CFLAGS = ("-O2",)
-
-#: Threads a large batch is sharded across (``$REPRO_NATIVE_THREADS``).
-NATIVE_THREADS = _env_int(
-    "REPRO_NATIVE_THREADS", min(4, os.cpu_count() or 1), minimum=1
-)
-
-#: Batches narrower than this many words run single-threaded
-#: (``$REPRO_NATIVE_MIN_WORDS``).  2048 words = 128 Ki vectors: below that
-#: a kernel call finishes in microseconds and pool handoff would dominate.
-NATIVE_PARALLEL_MIN_WORDS = _env_int("REPRO_NATIVE_MIN_WORDS", 2048, minimum=1)
 
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 
@@ -108,7 +84,7 @@ def generate_c_kernel_source(
     Consumes the same :func:`~repro.perf.engines.plan_kernel` analysis as
     the Python emitter — the planned expression texts are valid in both
     languages (names, parentheses and ``& | ^``, whose precedence ordering
-    matches) — and wraps them in one word loop over ``[w_lo, w_hi)``.
+    matches) — and wraps them in one loop over the ``n_words`` words.
 
     Example::
 
@@ -132,37 +108,16 @@ def generate_c_kernel_source(
         "\n"
         f"/* {program.name}: {len(plan.input_loads)} inputs, "
         f"{len(plan.statements)} locals, {len(slots)} outputs */\n"
-        "void repro_kernel(const uint64_t *in, uint64_t *out,\n"
-        "                  int64_t n_words, int64_t w_lo, int64_t w_hi)\n"
+        "void repro_kernel(const uint64_t *in, uint64_t *out, int64_t n_words)\n"
         "{\n"
         "    const uint64_t ZERO = (uint64_t)0;\n"
         "    const uint64_t ONE = ~(uint64_t)0;\n"
         "    (void)ZERO; (void)ONE; (void)in;\n"
-        "    for (int64_t w = w_lo; w < w_hi; ++w) {\n"
+        "    for (int64_t w = 0; w < n_words; ++w) {\n"
         + (body + "\n" if body else "")
         + "    }\n"
         "}\n"
     )
-
-
-# --------------------------------------------------------------------------- #
-# Persistent shard pool (shared by every NativeEvaluator in the process)
-# --------------------------------------------------------------------------- #
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
-
-
-def _shard_pool() -> ThreadPoolExecutor:
-    # Sized >= 4 even on small hosts so an explicit `threads=` request (the
-    # benchmark's 1/2/4 scaling curve) genuinely shards instead of queueing.
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=max(4, NATIVE_THREADS),
-                thread_name_prefix="repro-native",
-            )
-        return _POOL
 
 
 # --------------------------------------------------------------------------- #
@@ -176,13 +131,6 @@ class NativeEvaluator(BitParallelEvaluator):
     cached per netlist structure by
     :func:`~repro.perf.bitsim.evaluator_for`, so structural mutation retires
     the evaluator — and its new source hashes to a new disk key.
-
-    ``threads`` controls word-axis sharding: ``None`` (default) picks 1
-    below :data:`NATIVE_PARALLEL_MIN_WORDS` words and
-    :data:`NATIVE_THREADS` above; an explicit integer forces that shard
-    count (the benchmark's thread-scaling curve sets 1/2/4).  Shards write
-    disjoint ``[w_lo, w_hi)`` column ranges of the output, so the only
-    synchronisation is the final join.
 
     Example::
 
@@ -200,8 +148,6 @@ class NativeEvaluator(BitParallelEvaluator):
                 "make_evaluator(engine='native'), which degrades to codegen"
             )
         self.toolchain = toolchain
-        #: ``None`` = automatic (threshold on word count); an int forces it.
-        self.threads: Optional[int] = None
         self._kernels: Dict[Tuple[int, ...], object] = {}
         self._sources: Dict[Tuple[int, ...], str] = {}
 
@@ -211,7 +157,7 @@ class NativeEvaluator(BitParallelEvaluator):
         if fn is None:
             source = generate_c_kernel_source(self.program, slots)
             fn = _toolchain.load_shared(source, CFLAGS, self.toolchain).repro_kernel
-            fn.argtypes = [_U64P, _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
+            fn.argtypes = [_U64P, _U64P, ctypes.c_int64]
             fn.restype = None
             self._kernels[slots] = fn
             self._sources[slots] = source
@@ -238,25 +184,7 @@ class NativeEvaluator(BitParallelEvaluator):
         if n_words == 0 or n_out == 0:
             return out
         in_arr = packed_inputs if program.n_inputs else _EMPTY_IN
-        in_ptr = in_arr.ctypes.data_as(_U64P)
-        out_ptr = out.ctypes.data_as(_U64P)
-        threads = self.threads
-        if threads is None:
-            threads = 1 if n_words < NATIVE_PARALLEL_MIN_WORDS else NATIVE_THREADS
-        threads = max(1, min(int(threads), n_words))
-        if threads == 1:
-            fn(in_ptr, out_ptr, n_words, 0, n_words)
-            return out
-        # The ctypes call releases the GIL, so shards run truly in parallel;
-        # each writes a disjoint column range of `out`.
-        chunk = -(-n_words // threads)
-        pool = _shard_pool()
-        futures = [
-            pool.submit(fn, in_ptr, out_ptr, n_words, lo, min(lo + chunk, n_words))
-            for lo in range(0, n_words, chunk)
-        ]
-        for future in futures:
-            future.result()
+        fn(in_arr.ctypes.data_as(_U64P), out.ctypes.data_as(_U64P), n_words)
         return out
 
     # ------------------------------------------------------------------ #

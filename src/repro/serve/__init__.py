@@ -25,7 +25,7 @@ Layering (see ``docs/architecture.md`` and ``docs/serving.md``):
 * :mod:`repro.serve.transport` — the length-prefixed binary frame
   protocol the job service's workers speak;
 * :mod:`repro.serve.http` / :mod:`repro.serve.client` — the stdlib HTTP
-  endpoint (``repro-serve``) and the in-process / HTTP clients;
+  endpoint (``repro-serve``) and its client;
 * :mod:`repro.serve.stats` — requests/s, batch occupancy, p50/p99 latency
   (the ``/stats`` route);
 * :mod:`repro.serve.loadgen` — seeded open/closed-loop load generation,
@@ -37,12 +37,11 @@ Layering (see ``docs/architecture.md`` and ``docs/serving.md``):
 Example::
 
     from repro.core.design_flow import fast_config
-    from repro.serve import Client, ModelRegistry, ModelServer
+    from repro.serve import ModelRegistry, ModelServer
 
     registry = ModelRegistry(config=fast_config())
     with ModelServer(registry) as server:
-        client = Client(server)
-        client.predict("redwine/ours", [0.5] * 11)   # 11 redwine features
+        server.predict("redwine/ours", [0.5] * 11)   # 11 redwine features
 """
 
 from repro.serve.batching import (
@@ -52,7 +51,7 @@ from repro.serve.batching import (
     MicroBatcher,
 )
 from repro.serve.bench import run_multi_worker_benchmark, run_serving_benchmark
-from repro.serve.client import Client, HTTPClient, HTTPError
+from repro.serve.client import HTTPClient, HTTPError
 from repro.serve.http import ServingHTTPServer, build_http_server, serve_in_thread
 from repro.serve.loadgen import (
     LoadResult,
@@ -72,7 +71,6 @@ __all__ = [
     "MicroBatcher",
     "run_multi_worker_benchmark",
     "run_serving_benchmark",
-    "Client",
     "HTTPClient",
     "HTTPError",
     "ServingHTTPServer",

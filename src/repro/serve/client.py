@@ -1,20 +1,14 @@
-"""Clients for the serving subsystem: in-process and HTTP.
+"""The HTTP client of the serving subsystem.
 
-Both clients speak the same three verbs — ``predict`` (single sample),
-``predict_many`` (bulk) and ``stats`` — and return the same JSON-shaped
-dicts, so tests and benchmarks can swap transports freely:
-
-* :class:`Client` calls the :class:`~repro.serve.server.ModelServer`
-  directly (no sockets), which is what the test suite and the serving
-  benchmark use;
-* :class:`HTTPClient` drives the real endpoint over one persistent
-  (keep-alive) ``http.client`` connection (stdlib), which is what an
-  external consumer of ``repro-serve`` sees.
+:class:`HTTPClient` drives the ``repro-serve`` endpoint over one persistent
+(keep-alive) ``http.client`` connection (stdlib), which is what an external
+consumer of ``repro-serve`` sees.  Its verbs — ``predict`` (single sample),
+``predict_many`` (bulk), ``stats``, ``models`` and ``healthz`` — return
+the JSON response documents; in-process callers get the same documents
+from :class:`~repro.serve.server.ModelServer` directly.
 
 Example::
 
-    client = Client(model_server)
-    client.predict("redwine/ours", x)["prediction"]
     remote = HTTPClient("http://127.0.0.1:8000")
     remote.predict("redwine/ours", list(x))["prediction"]
 """
@@ -27,53 +21,6 @@ import threading
 import time
 import urllib.parse
 from typing import Dict, Optional, Sequence, Tuple, Union
-
-import numpy as np
-
-from repro.serve.server import ModelServer
-
-
-class Client:
-    """In-process client: the ModelServer API with the HTTP response shape.
-
-    Example::
-
-        with ModelServer(registry) as server:
-            client = Client(server)
-            out = client.predict_many("redwine/ours", X_test)
-            out["predictions"]          # decoded labels, list
-    """
-
-    def __init__(self, server: ModelServer) -> None:
-        self.server = server
-
-    def predict(self, model: str, features: Union[Sequence, np.ndarray]) -> Dict:
-        """Single-sample predict; returns the ``/predict`` response dict."""
-        return self.server.predict(model, features)
-
-    def predict_many(self, model: str, batch: Union[Sequence, np.ndarray]) -> Dict:
-        """Bulk predict through the micro-batching queue."""
-        return self.server.predict_many(model, batch)
-
-    def submit(self, model: str, batch: Union[Sequence, np.ndarray]):
-        """Asynchronous submit; returns a future of class ids.
-
-        The concurrency primitive the serving benchmark drives: thousands
-        of outstanding futures coalesce into few vectorized micro-batches.
-        """
-        return self.server.submit(model, batch)
-
-    def submit_many(self, model: str, rows: Union[Sequence, np.ndarray]):
-        """Burst submit: one future per row, amortized bookkeeping."""
-        return self.server.submit_many(model, rows)
-
-    def stats(self) -> Dict:
-        """The server's ``/stats`` document."""
-        return self.server.stats()
-
-    def models(self) -> Dict:
-        """The server's ``/models`` document."""
-        return {"models": self.server.models()}
 
 
 class HTTPError(RuntimeError):

@@ -220,7 +220,9 @@ def serve_in_thread(
     """Run the endpoint on a daemon thread; returns the bound server.
 
     The test-friendly entry point: the caller reads the ephemeral port off
-    ``httpd.server_address`` and stops with ``httpd.shutdown()``.
+    ``httpd.server_address`` and stops with ``httpd.shutdown()``.  The
+    serve loop polls for that every 50 ms (the stdlib default, 0.5 s, is
+    what each shutdown would otherwise wait).
 
     Example::
 
@@ -231,7 +233,10 @@ def serve_in_thread(
     """
     httpd = build_http_server(model_server, host=host, port=port)
     thread = threading.Thread(
-        target=httpd.serve_forever, name="repro-serve-http", daemon=True
+        target=httpd.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        name="repro-serve-http",
+        daemon=True,
     )
     thread.start()
     return httpd

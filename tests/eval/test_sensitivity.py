@@ -1,8 +1,11 @@
 """Tests for the PDK-sensitivity (corner) analysis."""
 
+import threading
+
 import pytest
 
 from repro.core.design_flow import FlowConfig, run_flow
+from repro.eval import sensitivity
 from repro.eval.sensitivity import (
     DEFAULT_CORNERS,
     PDKCorner,
@@ -12,12 +15,17 @@ from repro.eval.sensitivity import (
 from repro.hw.pdk import EGFET_PDK
 
 CONFIG = FlowConfig(n_samples=260, svm_max_iter=20, mlp_max_epochs=20, mlp_hidden_neurons=4)
+KINDS = ("ours", "svm_parallel_exact", "svm_parallel_approx")
 
 
 @pytest.fixture(scope="module")
 def redwine_results():
-    kinds = ("ours", "svm_parallel_exact", "svm_parallel_approx")
-    return [run_flow("redwine", kind, CONFIG) for kind in kinds]
+    return [run_flow("redwine", kind, CONFIG) for kind in KINDS]
+
+
+@pytest.fixture(scope="module")
+def cardio_results():
+    return [run_flow("cardio", kind, CONFIG) for kind in KINDS]
 
 
 class TestCorners:
@@ -91,3 +99,52 @@ class TestSweep:
         text = report.summary()
         for corner in DEFAULT_CORNERS[:3]:
             assert corner.name in text
+
+
+class TestConcurrentSweeps:
+    def test_overlapping_sweeps_each_price_their_own_designs(
+        self, redwine_results, cardio_results, monkeypatch
+    ):
+        """Two threads sweep at once: the redwine sweep waits inside its
+        first corner until the cardio sweep has returned, and each report
+        still equals its own serial sweep."""
+        corners = DEFAULT_CORNERS[:3]
+        serial = {
+            "redwine": sweep_pdk_parameters(redwine_results, corners=corners),
+            "cardio": sweep_pdk_parameters(cardio_results, corners=corners),
+        }
+        first_inside = threading.Event()
+        second_returned = threading.Event()
+        real_build = sensitivity.build_corner_library
+
+        def build_gated(corner):
+            is_first = threading.current_thread().name == "sweep-redwine"
+            if is_first and not first_inside.is_set():
+                first_inside.set()
+                second_returned.wait(timeout=60)
+            return real_build(corner)
+
+        monkeypatch.setattr(sensitivity, "build_corner_library", build_gated)
+        reports, errors = {}, []
+
+        def sweep(name, results):
+            try:
+                reports[name] = sweep_pdk_parameters(results, corners=corners)
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        first = threading.Thread(
+            target=sweep, args=("redwine", redwine_results), name="sweep-redwine"
+        )
+        second = threading.Thread(
+            target=sweep, args=("cardio", cardio_results), name="sweep-cardio"
+        )
+        first.start()
+        assert first_inside.wait(timeout=60)
+        second.start()
+        second.join(timeout=60)
+        second_returned.set()
+        first.join(timeout=60)
+        assert not first.is_alive() and not second.is_alive()
+        assert not errors, errors
+        assert reports == serial

@@ -6,9 +6,9 @@ Bit-exactness across the zoo rides the shared matrices in
 ``codegen`` (one-time warning, shared cache entry, ``auto`` never picks
 native), the two-level kernel cache (memory + disk under the
 ``$REPRO_CACHE_DIR`` root, hit on second construction, invalidated by
-structural mutation), the GIL-free word sharding, and the ``REPRO_*``
-environment knobs.  Everything that needs a real compiler is skipped — not
-failed — on hosts without one, so the whole file passes either way.
+structural mutation), and the single kernel call per batch, on the calling
+thread.  Everything that needs a real compiler is skipped — not failed — on
+hosts without one, so the whole file passes either way.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.perf.engines import (
     ENGINES,
     BIGINT_MAX_WORDS,
     CodegenEvaluator,
-    _env_int,
     available_engines,
     make_evaluator,
     resolve_engine,
@@ -82,8 +81,11 @@ class TestCSource:
         low = generate_c_kernel_source(program, [int(program.output_slots[0])])
         for source in (full, low):
             assert "#include <stdint.h>" in source
-            assert "void repro_kernel(const uint64_t *in, uint64_t *out," in source
-            assert "for (int64_t w = w_lo; w < w_hi; ++w)" in source
+            assert (
+                "void repro_kernel(const uint64_t *in, uint64_t *out, int64_t n_words)"
+                in source
+            )
+            assert "for (int64_t w = 0; w < n_words; ++w)" in source
         assert len(low.splitlines()) < len(full.splitlines())
 
     def test_c_source_mirrors_python_plan(self):
@@ -307,63 +309,10 @@ class TestKernelCache:
 
 
 # --------------------------------------------------------------------------- #
-# Word-axis thread sharding (real compiler required)
+# One kernel call per batch, on the calling thread (real compiler required)
 # --------------------------------------------------------------------------- #
 @requires_toolchain
-class TestThreadSharding:
-    def test_forced_shard_counts_stay_bit_exact(self, fresh_caches):
-        netlist = build_array_multiplier_netlist(4, 4)
-        rng = np.random.default_rng(4)
-        vectors = rng.integers(0, 2, size=(1300, len(netlist.inputs)))
-        packed, _ = pack_vectors(vectors)
-        evaluator = evaluator_for(netlist, engine="native")
-        slots = evaluator.program.output_slots
-        reference = evaluator_for(netlist, engine="interp").evaluate_packed_slots(
-            packed, slots
-        )
-        try:
-            for threads in (1, 2, 3, 4, 7):
-                evaluator.threads = threads
-                out = evaluator.evaluate_packed_slots(packed, slots)
-                assert np.array_equal(out, reference), threads
-        finally:
-            evaluator.threads = None
-
-    def test_auto_sharding_threshold(self, fresh_caches, monkeypatch):
-        """Below the word threshold the automatic path must stay on the
-        calling thread; above it, shard — both bit-exact."""
-        netlist = build_ripple_adder_netlist(4)
-        rng = np.random.default_rng(5)
-        vectors = rng.integers(0, 2, size=(400, len(netlist.inputs)))
-        packed, _ = pack_vectors(vectors)  # 7 words
-        evaluator = evaluator_for(netlist, engine="native")
-        slots = evaluator.program.output_slots
-        reference = evaluator_for(netlist, engine="interp").evaluate_packed_slots(
-            packed, slots
-        )
-        monkeypatch.setattr(native, "NATIVE_PARALLEL_MIN_WORDS", 4)
-        monkeypatch.setattr(native, "NATIVE_THREADS", 3)
-        assert np.array_equal(evaluator.evaluate_packed_slots(packed, slots), reference)
-        monkeypatch.setattr(native, "NATIVE_PARALLEL_MIN_WORDS", 10_000)
-        assert np.array_equal(evaluator.evaluate_packed_slots(packed, slots), reference)
-
-    def test_more_shards_than_words_is_clamped(self, fresh_caches):
-        netlist = build_ripple_adder_netlist(3)
-        rng = np.random.default_rng(6)
-        vectors = rng.integers(0, 2, size=(65, len(netlist.inputs)))  # 2 words
-        packed, _ = pack_vectors(vectors)
-        evaluator = evaluator_for(netlist, engine="native")
-        slots = evaluator.program.output_slots
-        evaluator.threads = 16
-        try:
-            out = evaluator.evaluate_packed_slots(packed, slots)
-        finally:
-            evaluator.threads = None
-        reference = evaluator_for(netlist, engine="interp").evaluate_packed_slots(
-            packed, slots
-        )
-        assert np.array_equal(out, reference)
-
+class TestSingleCall:
     def test_empty_batch(self, fresh_caches):
         netlist = build_ripple_adder_netlist(3)
         evaluator = evaluator_for(netlist, engine="native")
@@ -371,6 +320,30 @@ class TestThreadSharding:
         packed = np.zeros((evaluator.program.n_inputs, 0), dtype=np.uint64)
         out = evaluator.evaluate_packed_slots(packed, slots)
         assert out.shape == (len(slots), 0)
+
+    def test_wide_batch_starts_no_thread(self, fresh_caches):
+        """A 4,097-word call runs on the calling thread: in a fresh
+        interpreter it leaves ``threading.active_count()`` unchanged."""
+        code = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from repro.hw.rtl.adders import build_ripple_adder_netlist\n"
+            "from repro.perf.bitsim import evaluator_for\n"
+            "ev = evaluator_for(build_ripple_adder_netlist(4), engine='native')\n"
+            "slots = ev.program.output_slots\n"
+            "packed = np.ones((ev.program.n_inputs, 4097), dtype=np.uint64)\n"
+            "ev.evaluate_packed_slots(packed[:, :1], slots)  # compile outside\n"
+            "before = threading.active_count()\n"
+            "ev.evaluate_packed_slots(packed, slots)\n"
+            "print(before, threading.active_count())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC_DIR}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
 
 
 # --------------------------------------------------------------------------- #
@@ -380,78 +353,21 @@ class TestThreadSharding:
 class TestDomainBoundary:
     def test_large_batch_matches_codegen_numpy_domain(self, fresh_caches):
         """Past BIGINT_MAX_WORDS codegen switches to its numpy domain; the
-        native kernel must agree with both domains and with interp."""
+        native kernel must agree with both domains and with interp, one
+        word past the boundary and far past it (4,097 words)."""
         netlist = build_ripple_adder_netlist(4)
-        n_vectors = (BIGINT_MAX_WORDS + 1) * 64  # one word past the boundary
         rng = np.random.default_rng(7)
-        vectors = rng.integers(0, 2, size=(n_vectors, len(netlist.inputs)))
-        packed, _ = pack_vectors(vectors)
-        assert packed.shape[1] > BIGINT_MAX_WORDS
         slots = evaluator_for(netlist, engine="interp").program.output_slots
-        outs = {
-            e: evaluator_for(netlist, engine=e).evaluate_packed_slots(packed, slots)
-            for e in ("interp", "codegen", "native")
-        }
-        assert np.array_equal(outs["native"], outs["interp"])
-        assert np.array_equal(outs["native"], outs["codegen"])
-
-
-# --------------------------------------------------------------------------- #
-# Environment knobs
-# --------------------------------------------------------------------------- #
-class TestEnvKnobs:
-    def test_env_int_accepts_valid_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "42")
-        assert _env_int("REPRO_TEST_KNOB", 7, minimum=1) == 42
-        monkeypatch.setenv("REPRO_TEST_KNOB", "  ")
-        assert _env_int("REPRO_TEST_KNOB", 7, minimum=1) == 7
-        monkeypatch.delenv("REPRO_TEST_KNOB")
-        assert _env_int("REPRO_TEST_KNOB", 7, minimum=1) == 7
-
-    def test_env_int_rejects_garbage_and_below_minimum(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_KNOB", "fast")
-        with pytest.raises(ValueError, match="REPRO_TEST_KNOB"):
-            _env_int("REPRO_TEST_KNOB", 7, minimum=1)
-        monkeypatch.setenv("REPRO_TEST_KNOB", "0")
-        with pytest.raises(ValueError, match="below 1"):
-            _env_int("REPRO_TEST_KNOB", 7, minimum=1)
-
-    def test_engine_knobs_read_from_environment(self):
-        """Fresh interpreter: the module constants honor $REPRO_* overrides.
-
-        A subprocess keeps this hermetic — reloading repro.perf.engines in
-        this process would strand other modules on stale class objects.
-        """
-        code = (
-            "import repro.perf.engines as e, repro.perf.native as n; "
-            "print(e.BIGINT_MAX_WORDS, "
-            "n.NATIVE_THREADS, n.NATIVE_PARALLEL_MIN_WORDS)"
-        )
-        env = {
-            **os.environ,
-            "PYTHONPATH": SRC_DIR,
-            "REPRO_BIGINT_MAX_WORDS": "7",
-            "REPRO_NATIVE_THREADS": "2",
-            "REPRO_NATIVE_MIN_WORDS": "999",
-        }
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["7", "2", "999"]
-
-    def test_invalid_engine_knob_fails_loudly(self):
-        code = "import repro.perf.engines"
-        env = {
-            **os.environ,
-            "PYTHONPATH": SRC_DIR,
-            "REPRO_BIGINT_MAX_WORDS": "many",
-        }
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode != 0
-        assert "REPRO_BIGINT_MAX_WORDS" in proc.stderr
+        for n_words in (BIGINT_MAX_WORDS + 1, 4097):
+            vectors = rng.integers(0, 2, size=(n_words * 64, len(netlist.inputs)))
+            packed, _ = pack_vectors(vectors)
+            assert packed.shape[1] == n_words
+            outs = {
+                e: evaluator_for(netlist, engine=e).evaluate_packed_slots(packed, slots)
+                for e in ("interp", "codegen", "native")
+            }
+            assert np.array_equal(outs["native"], outs["interp"]), n_words
+            assert np.array_equal(outs["native"], outs["codegen"]), n_words
 
 
 # --------------------------------------------------------------------------- #

@@ -82,7 +82,9 @@ class _Always503(BaseHTTPRequestHandler):
 def always_503():
     _Always503.requests = []
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Always503)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield httpd.server_address[1], _Always503.requests
     httpd.shutdown()

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.serve.client import Client, HTTPClient, HTTPError
+from repro.serve.client import HTTPClient, HTTPError
 from repro.serve.http import serve_in_thread
 from repro.serve.server import ModelServer
 from repro.serve.worker import spawn_fleet, stop_fleet
@@ -84,10 +84,8 @@ def test_http_predict_bit_identical_to_run_batch(
 
 
 def test_http_and_in_process_clients_agree(endpoint, server, request_rows):
-    local = Client(server)
-    remote = endpoint
-    a = local.predict_many(MODEL_NAME, request_rows[:7])
-    b = remote.predict_many(MODEL_NAME, request_rows[:7].tolist())
+    a = server.predict_many(MODEL_NAME, request_rows[:7])
+    b = endpoint.predict_many(MODEL_NAME, request_rows[:7].tolist())
     assert a["class_ids"] == b["class_ids"]
     assert a["predictions"] == b["predictions"]
 
@@ -277,7 +275,9 @@ def test_predict_retries_on_503_with_backoff(request_rows):
             self._reply(503, {"error": "draining"})
 
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), FlakyHandler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     host, port = httpd.server_address[:2]
     client = HTTPClient(f"http://{host}:{port}", retries=3, backoff_s=0.01)
