@@ -9,7 +9,10 @@ the pass rewrote or removed (0 = fixpoint reached for this pass).
   duplicate nets), restrict the cell's truth table to its live support and
   fold the gate: each output becomes a constant, a wire, or a strictly
   smaller library cell (``AND2(a, 1)`` -> wire, ``FA(a, b, 0)`` -> ``HA``,
-  ``MUX2(d, d, s)`` -> wire, ...).
+  ``MUX2(d, d, s)`` -> wire, ...).  The fold depends only on the cell and
+  its *pin shape* — which pins are tied to 0 or 1 and which pins share a
+  net — so each (cell, shape) is folded once per :class:`PassContext` and
+  every later gate of that shape reuses the plan.
 * **buffer collapse** — ``BUF`` gates and double-inverter chains become net
   aliases.
 * **structural hashing** — classic CSE: gates with the same cell type and
@@ -63,6 +66,10 @@ class PassContext:
     reconstructing an aliased-away output then has no port buffer to fall
     back on.
 
+    The memos are only valid for the library, opaque set and protected set
+    the context was built with, which is why the pipeline builds one context
+    per :func:`~repro.hw.opt.pipeline.optimize` run.
+
     Example::
 
         ctx = PassContext(EGFET_PDK, opaque_cells=DEFAULT_OPAQUE_CELLS)
@@ -79,6 +86,10 @@ class PassContext:
         self.opaque = frozenset(opaque_cells)
         self.protected = frozenset(protected_nets)
         self._canonical: Dict[str, bool] = {}
+        self._rewritable: Dict[str, bool] = {}
+        # Fold plans by (cell name, pin shape), None included; filled by
+        # constant_propagation.
+        self._fold_plans: Dict[Tuple[str, Tuple[int, ...]], Optional[list]] = {}
 
     def is_canonical(self, cell_name: str) -> bool:
         """Whether the library has ``cell_name`` with its canonical function."""
@@ -92,10 +103,15 @@ class PassContext:
 
     def is_rewritable(self, cell_name: str) -> bool:
         """Whether a pass may fold/merge/collapse gates of this cell type."""
-        if cell_name in self.opaque:
-            return False
-        cell = self.library[cell_name]
-        return not cell.is_sequential and cell.function is not None
+        memo = self._rewritable.get(cell_name)
+        if memo is None:
+            if cell_name in self.opaque:
+                memo = False
+            else:
+                cell = self.library[cell_name]
+                memo = not cell.is_sequential and cell.function is not None
+            self._rewritable[cell_name] = memo
+        return memo
 
 
 # --------------------------------------------------------------------------- #
@@ -142,52 +158,57 @@ def _match_cell_order(
 
 
 def _classify_output(
-    ctx: PassContext, table: Sequence[int], n_vars: int, nets: Sequence[str]
+    ctx: PassContext, table: Sequence[int], n_vars: int
 ) -> Optional[tuple]:
     """Fold one output truth table to a constant, a wire or a smaller cell.
 
-    Returns ``("const", net)``, ``("wire", net)``, ``("gate", cell, pins)``
-    or None when the function stays too complex to re-express.
+    Returns ``("const", net)``, ``("wire", var)``, ``("gate", cell, vars)``
+    or None when the function stays too complex to re-express; ``var`` and
+    ``vars`` index the table's variables.
     """
     support = _support_of(table, n_vars)
     reduced = _restrict_table(table, support)
     m = len(support)
-    live = [nets[v] for v in support]
     if m == 0:
         return ("const", CONST_ONE if reduced[0] else CONST_ZERO)
     if m == 1:
         if reduced == [0, 1]:
-            return ("wire", live[0])
+            return ("wire", support[0])
         if ctx.is_canonical("INV"):
-            return ("gate", "INV", (live[0],))
+            return ("gate", "INV", (support[0],))
         return None
     for name in _REWRITE_CANDIDATES.get((m, 1), ()):
         if not ctx.is_canonical(name):
             continue
         order = _match_cell_order([reduced], m, CANONICAL_SEMANTICS[name], 1)
         if order is not None:
-            return ("gate", name, tuple(live[i] for i in order))
+            return ("gate", name, tuple(support[i] for i in order))
     return None
 
 
-def _fold_plan(
-    ctx: PassContext, cell, resolved_inputs: Sequence[str], known: Sequence[Optional[int]]
-) -> Optional[list]:
-    """Compute the replacement plan for one foldable gate (None = keep)."""
-    distinct: List[str] = []
-    index_of: Dict[str, int] = {}
-    for net, value in zip(resolved_inputs, known):
-        if value is None and net not in index_of:
-            index_of[net] = len(distinct)
-            distinct.append(net)
-    n = len(distinct)
+#: Pin-shape codes of a pin tied to constant 0 and to constant 1.  Any other
+#: pin's code is the index of its net among the gate's distinct live nets,
+#: numbered in pin order: ``FA(x, 1'b0, y)`` has shape ``(0, -1, 1)`` and
+#: ``MUX2(d, d, s)`` has shape ``(0, 0, 1)``.
+TIED_ZERO = -1
+TIED_ONE = -2
+_TIED_VALUE = {TIED_ZERO: 0, TIED_ONE: 1}
+
+
+def _fold_plan(ctx: PassContext, cell, shape: Tuple[int, ...]) -> Optional[list]:
+    """Compute the replacement plan for one gate pin shape (None = keep).
+
+    Variable ``k`` of the truth tables is the gate's ``k``-th distinct live
+    net, so every wire and pin of the plan is such an index; the caller maps
+    them back to the gate's nets.
+    """
+    n = max(max(shape) + 1, 0)  # distinct live nets (0 when every pin is tied)
     if n > 6:
         return None
     tables: List[List[int]] = [[0] * (1 << n) for _ in range(cell.n_outputs)]
     for assignment in range(1 << n):
         bits = tuple(
-            value if value is not None else (assignment >> index_of[net]) & 1
-            for net, value in zip(resolved_inputs, known)
+            (assignment >> k) & 1 if k >= 0 else _TIED_VALUE[k] for k in shape
         )
         outs = cell.evaluate(bits)
         for j, v in enumerate(outs):
@@ -200,7 +221,6 @@ def _fold_plan(
         )
         m = len(union)
         reduced = [_restrict_table(table, union) for table in tables]
-        live = [distinct[v] for v in union]
         for name in _REWRITE_CANDIDATES.get((m, cell.n_outputs), ()):
             if not ctx.is_canonical(name):
                 continue
@@ -208,11 +228,11 @@ def _fold_plan(
                 reduced, m, CANONICAL_SEMANTICS[name], cell.n_outputs
             )
             if order is not None:
-                return [("multi", name, tuple(live[i] for i in order))]
+                return [("multi", name, tuple(union[i] for i in order))]
 
     plan = []
     for table in tables:
-        action = _classify_output(ctx, table, n, distinct)
+        action = _classify_output(ctx, table, n)
         if action is None:
             return None
         plan.append(action)
@@ -222,8 +242,11 @@ def _fold_plan(
 def constant_propagation(ctx: PassContext, ir: IRNetlist) -> int:
     """Fold gates fed by constants (or duplicate nets) through truth tables.
 
-    Returns the net number of gates removed (a fold that decomposes a cell
-    into smaller ones can make this negative for a single call).
+    The fold of a gate is computed once per (cell, pin shape) and memoized
+    in ``ctx``, so a netlist with thousands of tied gates enumerates only a
+    handful of truth tables.  Returns the net number of gates removed
+    (a fold that decomposes a cell into smaller ones can make this negative
+    for a single call).
 
     Example::
 
@@ -232,55 +255,67 @@ def constant_propagation(ctx: PassContext, ir: IRNetlist) -> int:
     """
     changes = 0
     kept: List[IRGate] = []
+    plans = ctx._fold_plans
+    resolve = ir.resolve
     for gate in ir.gates:
         if not ctx.is_rewritable(gate.cell):
             kept.append(gate)
             continue
-        resolved = ir.resolved_inputs(gate)
-        known = [
-            0 if net == CONST_ZERO else 1 if net == CONST_ONE else None
-            for net in resolved
-        ]
-        unknown = [net for net, value in zip(resolved, known) if value is None]
-        if all(value is None for value in known) and len(set(unknown)) == len(unknown):
-            kept.append(gate)
+        nets: List[str] = []  # distinct live nets, in pin order
+        shape: List[int] = []
+        for pin in gate.inputs:
+            net = resolve(pin)
+            if net == CONST_ZERO:
+                shape.append(TIED_ZERO)
+            elif net == CONST_ONE:
+                shape.append(TIED_ONE)
+            elif net in nets:
+                shape.append(nets.index(net))
+            else:
+                shape.append(len(nets))
+                nets.append(net)
+        if len(nets) == len(shape):
+            kept.append(gate)  # no tied pin and no repeated net: nothing folds
             continue
-        plan = _fold_plan(ctx, ctx.library[gate.cell], resolved, known)
+        key = (gate.cell, tuple(shape))
+        if key in plans:
+            plan = plans[key]
+        else:
+            plan = plans[key] = _fold_plan(ctx, ctx.library[gate.cell], key[1])
         if plan is None:
             kept.append(gate)
             continue
-        if plan[0][0] != "multi" and any(
+        if ctx.protected and plan[0][0] != "multi" and any(
             action in ("const", "wire") and gate.outputs[j] in ctx.protected
             for j, (action, *_) in enumerate(plan)
         ):
             kept.append(gate)  # aliasing a protected output is not allowed
             continue
-        if (
-            len(plan) == 1
-            and plan[0][0] == "multi"
-            and plan[0][1] == gate.cell
-            and plan[0][2] == tuple(resolved)
-        ):
-            kept.append(gate)  # no actual simplification
-            continue
         changes += 1
         if plan[0][0] == "multi":
             _, name, pins = plan[0]
             kept.append(
-                IRGate(name=gate.name, cell=name, inputs=list(pins), outputs=list(gate.outputs))
+                IRGate(
+                    name=gate.name,
+                    cell=name,
+                    inputs=[nets[k] for k in pins],
+                    outputs=list(gate.outputs),
+                )
             )
             continue
         for j, (action, *detail) in enumerate(plan):
             out_net = gate.outputs[j]
-            if action in ("const", "wire"):
+            if action == "const":
                 ir.add_alias(out_net, detail[0])
+            elif action == "wire":
+                ir.add_alias(out_net, nets[detail[0]])
             else:  # ("gate", cell, pins)
                 name, pins = detail
                 kept.append(
                     IRGate(
                         name=f"{gate.name}__cp{j}",
                         cell=name,
-                        inputs=list(pins),
+                        inputs=[nets[k] for k in pins],
                         outputs=[out_net],
                     )
                 )

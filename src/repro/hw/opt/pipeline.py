@@ -48,6 +48,10 @@ LEVEL_PASSES: Dict[int, Tuple[str, ...]] = {
 #: Highest distinct level; higher requested levels clamp to it.
 MAX_OPT_LEVEL = 2
 
+#: Safety bound on the fixpoint iteration (each iteration runs every pass of
+#: the level once; convergence typically takes 2-3 iterations).
+MAX_ITERATIONS = 10
+
 
 class OptimizationError(RuntimeError):
     """The optimized netlist failed the random-vector equivalence check.
@@ -145,7 +149,6 @@ def optimize(
     library: Optional[CellLibrary] = None,
     opaque_cells: Iterable[str] = DEFAULT_OPAQUE_CELLS,
     verify: bool = False,
-    max_iterations: int = 10,
 ) -> OptResult:
     """Run the pass pipeline over a netlist (cached per structure + level).
 
@@ -165,9 +168,9 @@ def optimize(
     verify:
         Additionally sweep raw-vs-optimized with random vectors and raise
         :class:`OptimizationError` on any output mismatch.
-    max_iterations:
-        Safety bound on the fixpoint iteration (each iteration runs every
-        pass of the level once; convergence is typically 2-3 iterations).
+
+    The passes iterate until none changes anything, at most
+    :data:`MAX_ITERATIONS` times.
 
     Example::
 
@@ -177,8 +180,6 @@ def optimize(
     """
     if level < 0:
         raise ValueError("optimization level must be >= 0")
-    if max_iterations < 1:
-        raise ValueError("need at least one pass iteration")
     library = library or EGFET_PDK
     level = min(int(level), MAX_OPT_LEVEL)
     pass_names = LEVEL_PASSES[level]
@@ -227,7 +228,7 @@ def optimize(
     gates_before = ir.n_gates()
     removed = {name: 0 for name in pass_names}
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         any_change = False
         for name in pass_names:

@@ -10,6 +10,7 @@ buffer collapse, CSE, dead-gate removal) on hand-built netlists.
 import numpy as np
 import pytest
 
+import repro.hw.opt.passes as passes_mod
 from repro.hw.area import analyze_netlist_area
 from repro.hw.cells import CellLibrary, CellType, GENERIC_CELL_SET
 from repro.hw.netlist import GateNetlist
@@ -159,6 +160,25 @@ class TestConstantPropagation:
         n.mark_output(z)
         result = optimize(n, level=1, verify=True)
         assert result.stats.gates_after <= 1
+
+    def test_each_pin_shape_is_folded_once(self, monkeypatch):
+        # A constant MAC ties hundreds of gates, but they share a handful of
+        # (cell, pin shape) patterns: AND2(x, 0), AND2(x, 1), FA(x, 0, y),
+        # ...  The truth-table fold must run once per pattern.
+        calls = []
+        fold_plan = passes_mod._fold_plan
+
+        def spy(ctx, cell, shape):
+            calls.append((cell.name, shape))
+            return fold_plan(ctx, cell, shape)
+
+        monkeypatch.setattr(passes_mod, "_fold_plan", spy)
+        weights = np.random.default_rng(1).integers(-15, 16, size=16)
+        raw = build_constant_mac_netlist([int(w) for w in weights], 5)
+        result = optimize(raw, level=2, verify=True)
+        assert result.stats.removed_per_pass["const_prop"] > 100
+        assert len(calls) == len(set(calls))
+        assert 0 < len(calls) <= 12
 
 
 class TestBufferCollapse:
@@ -400,6 +420,25 @@ class TestPassManager:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             optimize(build_ripple_adder_netlist(2), level=-1)
+
+    def test_fixpoint_folds_what_hashing_exposes(self):
+        # Iteration 1 merges the two ANDs, so the XOR reads one net twice;
+        # iteration 2 folds XOR2(x, x) to 0 and drops the AND; iteration 3
+        # changes nothing.  Only the output's port buffer is left.
+        n = GateNetlist("cascade")
+        a = n.add_input("a")
+        b = n.add_input("b")
+        (x1,) = n.add_gate("AND2", [a, b])
+        (x2,) = n.add_gate("AND2", [b, a])
+        (y,) = n.add_gate("XOR2", [x1, x2])
+        n.mark_output(y)
+        result = optimize(n, level=2, verify=True)
+        assert result.stats.iterations == 3
+        assert gates_by_cell(result.netlist) == {"BUF": 1}
+        # The bound is fixed, so no call can cache a result short of the
+        # fixpoint for later callers.
+        with pytest.raises(TypeError):
+            optimize(n, level=2, max_iterations=1)
 
     def test_results_are_cached_per_structure_and_level(self):
         raw = build_constant_multiplier_netlist(11, 4)
