@@ -8,8 +8,9 @@ Usage (from the repo root)::
     PYTHONPATH=src python scripts/bench_simulation.py --compare # diff, no write
 
 Records samples/s for the vectorized datapath simulators, gate-evals/s for
-every execution engine (``interp`` / ``codegen`` / ``native``) and a
-roofline section relating each engine to the measured memcpy bandwidth,
+the reference interpreter (``interp``) and every execution engine
+(``auto`` / ``native``) and a roofline section relating each to the
+measured memcpy bandwidth,
 next to the per-path speedup over the interpreted seed implementation.
 The perf-smoke benchmark (``pytest benchmarks/test_perf_simulation.py``)
 runs the same measurements and asserts the speedup floors, so simulator

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checks (the CI docs job).
 
-Three classes of rot this catches:
+Four classes of rot this catches:
 
 1. **Dead links** — every relative markdown link in ``README.md`` and
    ``docs/*.md`` must resolve to an existing file or directory (anchors
@@ -14,6 +14,11 @@ Three classes of rot this catches:
    environment table of ``docs/cli.md`` must appear as a string literal
    under ``src/`` or ``tests/``, and every ``REPRO_*`` string literal under
    ``src/`` must have a row in that table.
+4. **Stale choice sets** — every `` `--flag {a,b}` `` in ``docs/cli.md``
+   must list exactly the ``choices=`` that flag's ``add_argument`` call in
+   ``cli.py`` gives.  A literal is read as is; a bare name is followed
+   through its ``from ... import`` to the literal that module assigns at
+   top level.
 
 Usage (from anywhere)::
 
@@ -28,7 +33,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +58,8 @@ _ARGDEF_RE = re.compile(r"add_argument\(\s*\"(--[a-z0-9-]+)\"")
 _ENV_NAME_RE = re.compile(r"REPRO_[A-Z0-9_]+")
 #: A row of the environment table: ``| `REPRO_X` | effect |``.
 _ENV_ROW_RE = re.compile(r"^\|\s*`(REPRO_[A-Z0-9_]+)`\s*\|")
+#: A flag documented with its choices: `` `--flag {a,b,c}` ``.
+_CHOICES_RE = re.compile(r"`(--[a-z][a-z0-9-]*) \{([^}]*)\}`")
 
 
 def check_links(paths: List[Path]) -> List[str]:
@@ -139,8 +146,90 @@ def check_env_vars() -> List[str]:
     return problems
 
 
+def documented_choices() -> List[Tuple[str, Set[str]]]:
+    """``(flag, choices)`` for every `` `--flag {a,b}` `` in the CLI reference."""
+    return [
+        (flag, {choice.strip() for choice in choices.split(",")})
+        for flag, choices in _CHOICES_RE.findall(CLI_DOC.read_text())
+    ]
+
+
+def module_literal(module: str, name: str) -> Optional[object]:
+    """The literal a module under ``src/`` assigns to ``name`` at top level."""
+    base = SRC_DIR.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            break
+    else:
+        return None
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(target, ast.Name) and target.id == name for target in targets):
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:
+                return None
+    return None
+
+
+def implemented_choices() -> Dict[str, Set[str]]:
+    """``flag -> choices`` for every ``add_argument`` in cli.py whose
+    ``choices=`` is a literal or an imported name bound to one."""
+    tree = ast.parse(CLI_SOURCE.read_text(), filename=str(CLI_SOURCE))
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    found: Dict[str, Set[str]] = {}
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "add_argument"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg != "choices":
+                continue
+            value = keyword.value
+            if isinstance(value, ast.Name) and value.id in imported:
+                choices = module_literal(*imported[value.id])
+            else:
+                try:
+                    choices = ast.literal_eval(value)
+                except ValueError:
+                    choices = None
+            if choices is not None:
+                found[node.args[0].value] = {str(choice) for choice in choices}
+    return found
+
+
+def check_choices() -> List[str]:
+    """Every choice set the CLI reference lists must be the parser's."""
+    problems: List[str] = []
+    implemented = implemented_choices()
+    for flag, documented in documented_choices():
+        actual = implemented.get(flag)
+        if actual is None:
+            problems.append(
+                f"docs/cli.md lists choices for {flag}, but src/repro/cli.py "
+                "gives it no choices= this check can read"
+            )
+        elif documented != actual:
+            problems.append(
+                f"docs/cli.md lists {flag} {{{','.join(sorted(documented))}}}, "
+                f"but src/repro/cli.py accepts {{{','.join(sorted(actual))}}}"
+            )
+    return problems
+
+
 def main() -> int:
-    problems = check_links(LINKED_DOCS) + check_cli_flags() + check_env_vars()
+    problems = (
+        check_links(LINKED_DOCS) + check_cli_flags() + check_env_vars() + check_choices()
+    )
     if problems:
         print(f"{len(problems)} documentation problem(s):")
         for problem in problems:
@@ -151,7 +240,8 @@ def main() -> int:
     )
     print(
         f"docs OK: {len(LINKED_DOCS)} files, {n_links} links checked, "
-        f"{len(implemented_flags())} CLI flags and "
+        f"{len(implemented_flags())} CLI flags, "
+        f"{len(documented_choices())} choice sets and "
         f"{len(documented_env_vars())} env vars consistent"
     )
     return 0

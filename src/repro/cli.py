@@ -153,12 +153,10 @@ def main_table1(argv: Optional[List[str]] = None) -> int:
         choices=ENGINES,
         default="auto",
         help="bit-parallel execution engine for the gate-level verification "
-        "sweeps: interp = one numpy dispatch per gate op, codegen = one "
-        "generated+compiled kernel per netlist structure, native = the same "
-        "kernel compiled as C and called through ctypes (degrades to codegen "
-        "with a warning when no C toolchain exists), auto = interpret each "
-        "cone for its first 64 calls, then compile it as codegen "
-        "(all bit-exact; speed only)",
+        "sweeps: auto = interpret each cone for its first 64 calls, then "
+        "compile it into one generated Python kernel, native = that kernel "
+        "compiled as C and called through ctypes (degrades to auto with a "
+        "warning when no C toolchain exists); both bit-exact, speed only",
     )
     _add_common_arguments(parser)
     args = parser.parse_args(argv)

@@ -178,10 +178,10 @@ def generate_table1(
         (rendered by :func:`format_table1_optimization`).
     engine:
         Bit-parallel execution engine used by the gate-level verification
-        sweeps (``'interp'``, ``'codegen'``, ``'native'`` or
-        ``'auto'`` — see :mod:`repro.perf.engines`; ``'native'`` degrades
-        to ``'codegen'`` on hosts without a C toolchain).  All engines are
-        bit-exact; this only trades verification wall-clock.
+        sweeps: ``'auto'`` or ``'native'`` (see :mod:`repro.perf.engines`;
+        ``'native'`` degrades to ``'auto'`` on hosts without a C
+        toolchain).  Both engines are bit-exact; this only trades
+        verification wall-clock.
     """
     datasets = list(datasets) if datasets is not None else list(TABLE1_DATASETS)
     rows: List[tuple] = []

@@ -11,24 +11,27 @@ that with a two-stage compile -> bitsim pipeline:
   / destination index arrays over a dense net-slot table, in topological
   order, with multi-output cells (HA / FA) expanded into primitive bit ops.
 * :mod:`repro.perf.bitsim` — executes a compiled program bit-parallel: 64
-  test vectors are packed per ``uint64`` word and every op is one numpy
-  bitwise kernel, so a sweep costs ``O(gates * vectors / 64)`` instead of
-  ``O(gates * vectors)`` interpreted steps.
-* :mod:`repro.perf.engines` — code-generating execution backends behind
-  one ``engine='interp'|'codegen'|'native'|'auto'`` selector: ``codegen``
-  emits the whole cone as one generated, ``compile()``d Python function
-  (cached per netlist structure) that runs on numpy words or whole-row
-  Python bigints depending on batch size; ``auto`` interprets a cone's
-  live ops for its first calls and compiles only once the cone has run
-  often enough to pay for it.  All are bit-exact vs ``interp``; the
-  selector threads through :func:`~repro.perf.bitsim.evaluator_for`, the
-  sequential engine, the benchmarks and the ``repro-table1 --engine`` flag.
+  test vectors are packed per ``uint64`` word, so a sweep costs
+  ``O(gates * vectors / 64)`` instead of ``O(gates * vectors)`` interpreted
+  steps.  Its :func:`~repro.perf.bitsim.interpret_kernel` is the one Python
+  loop over a program's ops; :class:`~repro.perf.bitsim.BitParallelEvaluator`
+  runs it on numpy rows as the reference interpreter the engines are
+  checked against.
+* :mod:`repro.perf.engines` — the two execution engines behind one
+  ``engine='auto'|'native'`` selector: ``auto`` interprets a cone's live
+  ops on whole-row Python bigints for its first calls, then emits the
+  whole cone as one generated, ``compile()``d Python function (cached per
+  netlist structure) that runs on numpy words or whole-row bigints
+  depending on batch size.  Both are bit-exact vs the reference
+  interpreter; the selector threads through
+  :func:`~repro.perf.bitsim.evaluator_for`, the sequential engine, the
+  benchmarks and the ``repro-table1 --engine`` flag.
 * :mod:`repro.perf.native` — the ``native`` engine: the same planned kernel
   emitted as C, compiled with the system toolchain (``-O2 -fPIC -shared``)
   into a shared object called through ``ctypes`` (one call per batch, on
   the calling thread), cached in memory and on disk under the
   ``$REPRO_CACHE_DIR`` root.
-  Degrades to ``codegen`` with a one-time warning on hosts without a C
+  Degrades to ``auto`` with a one-time warning on hosts without a C
   compiler.
 * :mod:`repro.perf.seqsim` — the *sequential* engine: clocked netlists
   (real D flip-flops, feedback loops) split at their register boundaries

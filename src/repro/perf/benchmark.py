@@ -19,11 +19,11 @@ tracked PR over PR:
   pipeline on the hardwired constant-datapath workloads (tied-operand MAC /
   multiplier), plus the simulation speedup of evaluating the optimized
   program and a random-vector equivalence check.
-* **roofline** — gate-evals/s of every execution engine (``interp`` /
-  ``codegen`` / ``native`` where a C toolchain exists, see
-  :mod:`repro.perf.engines` and :mod:`repro.perf.native`) against a
-  measured memcpy-bandwidth baseline, locating each engine between
-  dispatch-limited and machine-limited.
+* **roofline** — gate-evals/s of the reference interpreter (``interp``)
+  and of every execution engine (``auto``, plus ``native`` where a C
+  toolchain exists, see :mod:`repro.perf.engines` and
+  :mod:`repro.perf.native`) against a measured memcpy-bandwidth baseline,
+  locating each between dispatch-limited and machine-limited.
 
 Entry points: ``python scripts/bench_simulation.py`` (writes the JSON;
 ``--compare`` diffs a fresh run against the committed baseline instead) and
@@ -59,19 +59,41 @@ from repro.hw.simulate import (
     simulate_combinational_reference,
     simulate_sequential_reference,
 )
-from repro.perf.bitsim import evaluator_for
+from repro.perf.bitsim import BitParallelEvaluator, evaluator_for, pack_vectors
+from repro.perf.compile import compile_netlist
 from repro.perf.engines import TIER_UP_CALLS, available_engines
 from repro.perf.seqsim import sequential_evaluator_for
 
 
-def _concrete_engines() -> List[str]:
-    """The concrete engines to benchmark on this host, in ENGINES order.
+def _benchmarked() -> List[str]:
+    """The rows of the engine comparisons on this host.
 
+    ``interp`` is the reference interpreter (:class:`BitParallelEvaluator`,
+    not an engine a user can select), then every engine in ENGINES order.
     ``native`` appears only where a C toolchain was found; ``--compare``
     skips metrics present on one side only, so per-host schema drift in the
     recorded document is benign.
     """
-    return [e for e in available_engines() if e != "auto"]
+    return ["interp", *available_engines()]
+
+
+def _evaluator(netlist, engine: str) -> BitParallelEvaluator:
+    """The evaluator of one :func:`_benchmarked` row."""
+    if engine == "interp":
+        return BitParallelEvaluator(compile_netlist(netlist))
+    return evaluator_for(netlist, engine=engine)
+
+
+def _warm(evaluator: BitParallelEvaluator, packed: np.ndarray, slots) -> None:
+    """Call a slot tuple past ``auto``'s tier-up point before it is timed.
+
+    :func:`_time` makes one warm-up call and at most 20 timed ones, fewer
+    than :data:`~repro.perf.engines.TIER_UP_CALLS`: without this, the
+    per-engine rows would time ``auto``'s interpreted tier instead of its
+    compiled kernel.  Every row gets the same calls.
+    """
+    for _ in range(TIER_UP_CALLS + 1):
+        evaluator.evaluate_packed_slots(packed, slots)
 
 
 from repro.core.paths import bench_output_path as _bench_output_path
@@ -188,17 +210,18 @@ def benchmark_gate_level(
 ) -> Dict[str, Dict[str, float]]:
     """Compiled bit-parallel sweeps vs the interpreted per-gate reference.
 
-    Every concrete execution engine (``interp``, ``codegen``, plus
-    ``native`` where a toolchain exists) is timed on each workload and
-    checked bit-exact against the interp sweep.  The
-    historical ``bitsim_gate_evals_per_s`` / ``speedup`` keys keep their
-    meaning (interp engine, full ``evaluate`` including pack/unpack, vs the
-    interpreted dict-walk) so the trajectory in ``BENCH_simulation.json``
-    stays comparable across PRs; the per-engine keys time the *packed*
-    kernel path (``evaluate_packed_slots`` on the output slots) — the
-    bit-matrix conversion is identical across engines and is not paid per
-    cycle by the sequential engine, so that is where engines actually
-    differ.
+    Every :func:`_benchmarked` row (the reference interpreter ``interp``,
+    ``auto``, plus ``native`` where a toolchain exists) is warmed past
+    ``auto``'s tier-up point, then checked bit-exact against the ``interp``
+    sweep and timed on each workload, so the check covers the kernels the
+    timings measure.  The historical ``bitsim_gate_evals_per_s`` /
+    ``speedup`` keys keep their meaning (reference interpreter, full
+    ``evaluate`` including pack/unpack, vs the interpreted dict-walk) so
+    the trajectory in ``BENCH_simulation.json`` stays comparable across
+    PRs; the per-engine keys time the *packed* kernel path
+    (``evaluate_packed_slots`` on the output slots) — the bit-matrix
+    conversion is identical across engines and is not paid per cycle by
+    the sequential engine, so that is where engines actually differ.
     """
     netlists = {
         "ripple_adder_16b": build_ripple_adder_netlist(16),
@@ -217,17 +240,17 @@ def benchmark_gate_level(
                 simulate_combinational_reference(netlist, row)
 
         # Compile every engine outside the timed region.
-        from repro.perf.bitsim import pack_vectors
-
-        engines = _concrete_engines()
-        evaluators = {e: evaluator_for(netlist, engine=e) for e in engines}
+        engines = _benchmarked()
+        evaluators = {e: _evaluator(netlist, e) for e in engines}
+        packed, _ = pack_vectors(vectors)
+        output_slots = evaluators["interp"].program.output_slots
+        for ev in evaluators.values():
+            _warm(ev, packed, output_slots)
         reference = evaluators["interp"].evaluate(vectors)
         equivalent = all(
             np.array_equal(ev.evaluate(vectors), reference)
             for ev in evaluators.values()
         )
-        packed, _ = pack_vectors(vectors)
-        output_slots = evaluators["interp"].program.output_slots
         t_ref = _time(_interpreted, repeats=3)
         t_fast = _time(lambda: evaluators["interp"].evaluate(vectors), repeats=3)
         # The packed kernels run in tens of microseconds; best-of-20 keeps
@@ -284,7 +307,7 @@ def benchmark_sequential(
     For each clocked workload (a small gate-level sequential-SVM top and a
     free-running counter) both sides clock the same ``n_vectors`` input
     vectors for the same number of cycles: the engine through
-    :mod:`repro.perf.seqsim` (packed words, one numpy kernel per op per
+    :mod:`repro.perf.seqsim` (packed words, one cone-kernel call per
     cycle), the baseline through
     :func:`~repro.hw.simulate.simulate_sequential_reference` (per-gate dict
     walk, one vector at a time).  Records cycle-evals/s (vectors x cycles
@@ -294,7 +317,8 @@ def benchmark_sequential(
     whose cone runs interpreted until it tiers up
     (:data:`~repro.perf.engines.TIER_UP_CALLS` calls);
     ``auto_engine_tiers_up`` records that its cone compiled a kernel exactly
-    when it had run more calls than that.
+    when it had run more calls than that.  ``native``, where a toolchain
+    exists, is checked and timed beside it.
     """
     rng = np.random.default_rng(seed)
     results: Dict[str, Dict[str, float]] = {}
@@ -320,7 +344,8 @@ def benchmark_sequential(
 
         engine_evaluators = {
             e: sequential_evaluator_for(netlist, engine=e)
-            for e in _concrete_engines()
+            for e in available_engines()
+            if e != "auto"
         }
         reference = np.stack(
             [simulate_sequential_reference(netlist, row, cycles) for row in rows],
@@ -350,16 +375,12 @@ def benchmark_sequential(
             "speedup": t_ref / t_fast,
         }
         for e in t_engine:
-            if e != "interp":
-                record[f"{e}_speedup_vs_interp"] = t_engine["interp"] / t_engine[e]
-        record["interp_cycle_evals_per_s"] = cycle_evals / t_engine["interp"]
-        cone = evaluator._cone
-        compiled = evaluator._result_slots in cone._kernels
+            record[f"{e}_cycle_evals_per_s"] = cycle_evals / t_engine[e]
+        compiled = evaluator._result_slots in evaluator._cone._kernels
         record["auto_cone_calls"] = float(auto_runs * cycles)
         record["auto_engine_tiers_up"] = (
             1.0
             if evaluator.engine == "auto"
-            and cone.tier_up_calls == TIER_UP_CALLS
             and compiled == (auto_runs * cycles > TIER_UP_CALLS)
             else 0.0
         )
@@ -400,17 +421,16 @@ def benchmark_roofline(
     netlist = build_array_multiplier_netlist(5, 5)
     rng = np.random.default_rng(seed)
     vectors = rng.integers(0, 2, size=(n_vectors, len(netlist.inputs)))
-    from repro.perf.bitsim import pack_vectors
-
     packed, _ = pack_vectors(vectors)
     n_words = packed.shape[1]
     memcpy_bytes_per_s = measure_memcpy_bandwidth()
     engines: Dict[str, Dict[str, float]] = {}
     n_ops = None
-    for e in _concrete_engines():
-        evaluator = evaluator_for(netlist, engine=e)
+    for e in _benchmarked():
+        evaluator = _evaluator(netlist, e)
         n_ops = evaluator.program.n_ops
         slots = evaluator.program.output_slots
+        _warm(evaluator, packed, slots)
         t = _time(lambda: evaluator.evaluate_packed_slots(packed, slots), repeats=3)
         min_bytes = n_ops * 3 * n_words * 8
         engines[e] = {
@@ -518,21 +538,21 @@ def run_simulation_benchmark(fast: bool = True, seed: int = 0) -> Dict:
         "netlist_opt_reduction_percent": min(
             r["reduction_percent"] for r in netlist_opt.values()
         ),
-        "engine_codegen_vs_interp_45g_multiplier": gates[
+        "engine_auto_vs_interp_45g_multiplier": gates[
             "array_multiplier_5x5"
-        ]["codegen_speedup_vs_interp"],
+        ]["auto_speedup_vs_interp"],
     }
     if "native" in roofline["engines"]:
-        min_speedups["engine_native_vs_codegen_45g_multiplier"] = (
+        min_speedups["engine_native_vs_auto_45g_multiplier"] = (
             roofline["engines"]["native"]["gate_evals_per_s"]
-            / roofline["engines"]["codegen"]["gate_evals_per_s"]
+            / roofline["engines"]["auto"]["gate_evals_per_s"]
         )
     return {
         "benchmark": "simulation_throughput",
         "config": "fast" if fast else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "engines_benchmarked": _concrete_engines(),
+        "engines_benchmarked": _benchmarked(),
         "datapath": datapath,
         "gate_level": gates,
         "sequential_sim": sequential,

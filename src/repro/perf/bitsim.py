@@ -8,6 +8,11 @@ therefore advances *64 vectors per word* at once, turning a sweep of ``V``
 vectors over ``G`` gates from ``O(G * V)`` interpreted Python into
 ``O(G * V / 64)`` vectorized kernel work.
 
+:func:`interpret_kernel` is the one Python loop over a program's ops.  It is
+domain-neutral, so :class:`BitParallelEvaluator` (the reference interpreter)
+runs it on numpy rows and on 0/1 ints, and the ``auto`` engine of
+:mod:`repro.perf.engines` runs it on whole-row bigints before it compiles.
+
 Typical use::
 
     program = compile_netlist(netlist)
@@ -20,7 +25,7 @@ netlist.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from repro.hw.pdk import EGFET_PDK
 from repro.perf.compile import (
     OP_AND2,
     OP_AND3,
+    OP_ARITY,
     OP_BUF,
     OP_MUX2,
     OP_NAND2,
@@ -41,7 +47,6 @@ from repro.perf.compile import (
     OP_XOR2,
     CompiledProgram,
     SLOT_ONE,
-    SLOT_ZERO,
     compile_netlist,
 )
 
@@ -92,8 +97,9 @@ def unpack_vectors(packed: np.ndarray, n_vectors: int) -> np.ndarray:
 def op_tuples(program: CompiledProgram) -> List[Tuple[int, int, int, int, int]]:
     """The program's op stream as plain-int ``(opcode, a, b, c, dst)`` tuples.
 
-    Every Python-level walk of a program (the evaluators, the liveness pass
-    of :mod:`repro.perf.engines`) runs on these: one ``.tolist()`` per array
+    Every Python-level walk of a program (:func:`live_ops`, hence
+    :func:`interpret_kernel` and the code emitters of
+    :mod:`repro.perf.engines`) runs on these: one ``.tolist()`` per array
     instead of five numpy scalar reads per op.
 
     Example::
@@ -109,8 +115,120 @@ def op_tuples(program: CompiledProgram) -> List[Tuple[int, int, int, int, int]]:
     )
 
 
+def live_ops(
+    ops: Sequence[Tuple[int, int, int, int, int]], slots: Sequence[int]
+) -> List[Tuple[int, int, int, int, int]]:
+    """The ops ``slots`` transitively read, in program order.
+
+    Backward liveness over ``(opcode, a, b, c, dst)`` tuples (see
+    :func:`op_tuples`): an op whose destination no requested slot needs is
+    dropped, so a kernel for a narrow slot tuple computes only that cone.
+    Shared by :func:`interpret_kernel` and
+    :func:`~repro.perf.engines.plan_kernel`.
+    """
+    live = set(slots)
+    kept = []
+    for op in reversed(ops):
+        opcode, a, b, c, dst = op
+        if dst not in live:
+            continue
+        kept.append(op)
+        live.add(a)
+        arity = OP_ARITY[opcode]
+        if arity > 1:
+            live.add(b)
+        if arity > 2:
+            live.add(c)
+    kept.reverse()
+    return kept
+
+
+def interpret_kernel(
+    program: CompiledProgram,
+    ops: Sequence[Tuple[int, int, int, int, int]],
+    slots: Sequence[int],
+) -> Callable:
+    """A kernel that interprets the ops computing ``slots``: no ``compile()``.
+
+    Returns ``_kernel(inp, ZERO, ONE)``: ``inp`` indexes one value per input
+    row in ``program.input_slots`` order, and the result is a tuple with one
+    value per requested slot.  This is the only Python loop over a
+    program's ops, and it is domain-neutral (``NOT`` is ``x ^ ONE`` and
+    ``MUX2`` is decomposed, like the generated source of
+    :func:`~repro.perf.engines.generate_kernel_source`), so one kernel runs
+    on numpy ``uint64`` rows, on whole-row Python bigints and on 0/1 ints.
+    Building it costs a :func:`live_ops` pass, where a generated kernel
+    costs a plan, its source text and ``compile()``.
+
+    Example::
+
+        ops = op_tuples(program)
+        kernel = interpret_kernel(program, ops, program.output_slots)
+        kernel(rows, 0, (1 << 64) - 1)       # one bigint per output slot
+    """
+    slots = [int(s) for s in slots]
+    ops = live_ops(ops, slots)
+    n_slots = program.n_slots
+    input_rows = list(enumerate(program.input_slots.tolist()))
+
+    def _kernel(inp, ZERO, ONE):
+        v = [ZERO] * n_slots
+        v[SLOT_ONE] = ONE
+        for row, s in input_rows:
+            v[s] = inp[row]
+        # Branches ordered by frequency in the Table I cones.
+        for op, a, b, c, dst in ops:
+            if op == OP_AND2:
+                v[dst] = v[a] & v[b]
+            elif op == OP_XOR2:
+                v[dst] = v[a] ^ v[b]
+            elif op == OP_OR2:
+                v[dst] = v[a] | v[b]
+            elif op == OP_MUX2:
+                sel = v[c]
+                v[dst] = (v[b] & sel) | (v[a] & (sel ^ ONE))
+            elif op == OP_NOT:
+                v[dst] = v[a] ^ ONE
+            elif op == OP_BUF:
+                v[dst] = v[a]
+            elif op == OP_XNOR2:
+                v[dst] = (v[a] ^ v[b]) ^ ONE
+            elif op == OP_NAND2:
+                v[dst] = (v[a] & v[b]) ^ ONE
+            elif op == OP_NOR2:
+                v[dst] = (v[a] | v[b]) ^ ONE
+            elif op == OP_AND3:
+                v[dst] = v[a] & v[b] & v[c]
+            elif op == OP_OR3:
+                v[dst] = v[a] | v[b] | v[c]
+            else:  # pragma: no cover - compiler emits only known opcodes
+                raise RuntimeError(f"unknown opcode {op}")
+        return tuple([v[s] for s in slots])
+
+    return _kernel
+
+
+def _run_rows(kernel: Callable, packed_inputs: np.ndarray) -> np.ndarray:
+    """Run a kernel in the numpy domain: one ``(n_words,)`` row per net."""
+    n_words = packed_inputs.shape[1]
+    out = kernel(
+        packed_inputs,
+        np.zeros(n_words, dtype=np.uint64),
+        np.full(n_words, _ALL_ONES, dtype=np.uint64),
+    )
+    if not out:
+        return np.zeros((0, n_words), dtype=np.uint64)
+    return np.stack(out)
+
+
 class BitParallelEvaluator:
-    """Executes a :class:`CompiledProgram` on packed ``uint64`` vector words.
+    """The reference interpreter: runs a :class:`CompiledProgram` through
+    :func:`interpret_kernel`, on packed ``uint64`` rows or on one vector.
+
+    Tests and the perf-smoke floors compare the engines of
+    :mod:`repro.perf.engines` against it; those subclass it and replace
+    :meth:`_call`, so the packed API and :meth:`evaluate_single` are shared.
+    Interpreted kernels are cached per requested slot tuple.
 
     Example::
 
@@ -120,122 +238,70 @@ class BitParallelEvaluator:
 
     def __init__(self, program: CompiledProgram) -> None:
         self.program = program
-        # The op stream as plain Python ints: the evaluation loop is the hot
-        # path and repeated numpy scalar extraction would dominate it.
         self._ops = op_tuples(program)
+        self._interpreted: Dict[Tuple[int, ...], Callable] = {}
 
     # ------------------------------------------------------------------ #
-    def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Run the program; returns the full slot state ``(n_slots, n_words)``.
+    def _interpreter_for(self, slots: Tuple[int, ...]) -> Callable:
+        kernel = self._interpreted.get(slots)
+        if kernel is None:
+            kernel = interpret_kernel(self.program, self._ops, slots)
+            self._interpreted[slots] = kernel
+        return kernel
 
-        ``packed_inputs`` must have shape ``(n_inputs, n_words)`` with rows in
-        ``program.input_names`` order (as produced by :func:`pack_vectors`).
-        """
-        program = self.program
+    def _checked(self, packed_inputs: np.ndarray) -> np.ndarray:
+        """``packed_inputs`` as ``uint64``, checked to be ``(n_inputs, n_words)``."""
         packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
-        if packed_inputs.ndim != 2 or packed_inputs.shape[0] != program.n_inputs:
+        n_inputs = self.program.n_inputs
+        if packed_inputs.ndim != 2 or packed_inputs.shape[0] != n_inputs:
             raise ValueError(
-                f"expected packed inputs of shape ({program.n_inputs}, n_words), "
+                f"expected packed inputs of shape ({n_inputs}, n_words), "
                 f"got {packed_inputs.shape}"
             )
-        n_words = packed_inputs.shape[1]
-        state = np.zeros((program.n_slots, n_words), dtype=np.uint64)
-        state[SLOT_ONE] = _ALL_ONES
-        if program.n_inputs:
-            state[program.input_slots] = packed_inputs
+        return packed_inputs
 
-        for op, a, b, c, dst in self._ops:
-            if op == OP_AND2:
-                state[dst] = state[a] & state[b]
-            elif op == OP_XOR2:
-                state[dst] = state[a] ^ state[b]
-            elif op == OP_OR2:
-                state[dst] = state[a] | state[b]
-            elif op == OP_NOT:
-                state[dst] = ~state[a]
-            elif op == OP_BUF:
-                state[dst] = state[a]
-            elif op == OP_MUX2:
-                sel = state[c]
-                state[dst] = (state[b] & sel) | (state[a] & ~sel)
-            elif op == OP_NAND2:
-                state[dst] = ~(state[a] & state[b])
-            elif op == OP_NOR2:
-                state[dst] = ~(state[a] | state[b])
-            elif op == OP_XNOR2:
-                state[dst] = ~(state[a] ^ state[b])
-            elif op == OP_AND3:
-                state[dst] = state[a] & state[b] & state[c]
-            elif op == OP_OR3:
-                state[dst] = state[a] | state[b] | state[c]
-            else:  # pragma: no cover - compiler emits only known opcodes
-                raise RuntimeError(f"unknown opcode {op}")
-        return state
+    def _call(self, slots: Tuple[int, ...], packed_inputs: np.ndarray) -> np.ndarray:
+        """Packed rows of ``slots``: the one method the engines replace."""
+        return _run_rows(self._interpreter_for(slots), self._checked(packed_inputs))
 
     # ------------------------------------------------------------------ #
+    def evaluate_packed_slots(
+        self, packed_inputs: np.ndarray, slots: Sequence[int]
+    ) -> np.ndarray:
+        """Run the program and return only the requested slot rows.
+
+        ``packed_inputs`` must have shape ``(n_inputs, n_words)`` with rows
+        in ``program.input_names`` order (as produced by
+        :func:`pack_vectors`).  The narrow-waist API every evaluator shares:
+        only the ops the requested slots read run.  ``slots`` may repeat and
+        may name constant or input slots (sequential cones do both).
+
+        Example::
+
+            rows = evaluator.evaluate_packed_slots(packed, program.output_slots)
+        """
+        return self._call(tuple(int(s) for s in slots), packed_inputs)
+
+    def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
+        """Run the program; returns the full slot state ``(n_slots, n_words)``."""
+        return self._call(tuple(range(self.program.n_slots)), packed_inputs)
+
     def evaluate_single(self, input_bits: Sequence[int]) -> List[int]:
-        """Run the program for one vector on plain Python ints.
+        """Run the program for one vector on plain Python 0/1 ints.
 
         Numpy kernels only pay off with many vectors per word; for the
-        single-vector case (``simulate_combinational``) executing the same
-        compiled program on scalars is several times faster than both the
-        packed path and the interpreted per-gate walk.  Returns the full
-        slot state as a list of 0/1 ints.
+        single-vector case (``simulate_combinational``) the interpreted
+        kernel on scalars is several times faster than both the packed path
+        and the per-gate walk.  Returns the full slot state as a list of
+        0/1 ints.
         """
         program = self.program
         if len(input_bits) != program.n_inputs:
             raise ValueError(
                 f"expected {program.n_inputs} input bits, got {len(input_bits)}"
             )
-        state = [0] * program.n_slots
-        state[SLOT_ONE] = 1
-        for slot, bit in zip(program.input_slots, input_bits):
-            state[slot] = 1 if bit else 0
-
-        for op, a, b, c, dst in self._ops:
-            if op == OP_AND2:
-                state[dst] = state[a] & state[b]
-            elif op == OP_XOR2:
-                state[dst] = state[a] ^ state[b]
-            elif op == OP_OR2:
-                state[dst] = state[a] | state[b]
-            elif op == OP_NOT:
-                state[dst] = 1 - state[a]
-            elif op == OP_BUF:
-                state[dst] = state[a]
-            elif op == OP_MUX2:
-                state[dst] = state[b] if state[c] else state[a]
-            elif op == OP_NAND2:
-                state[dst] = 1 - (state[a] & state[b])
-            elif op == OP_NOR2:
-                state[dst] = 1 - (state[a] | state[b])
-            elif op == OP_XNOR2:
-                state[dst] = 1 - (state[a] ^ state[b])
-            elif op == OP_AND3:
-                state[dst] = state[a] & state[b] & state[c]
-            elif op == OP_OR3:
-                state[dst] = state[a] | state[b] | state[c]
-            else:  # pragma: no cover - compiler emits only known opcodes
-                raise RuntimeError(f"unknown opcode {op}")
-        return state
-
-    def evaluate_packed_slots(
-        self, packed_inputs: np.ndarray, slots: Sequence[int]
-    ) -> np.ndarray:
-        """Run the program and return only the requested slot rows.
-
-        The narrow-waist API the execution engines specialise: the interp
-        engine computes the full state and indexes it, while the codegen
-        engine compiles a dedicated kernel per slot tuple that never
-        materialises unrequested slots.  ``slots`` may repeat and may name
-        constant or input slots (sequential cones do both).
-
-        Example::
-
-            rows = evaluator.evaluate_packed_slots(packed, program.output_slots)
-        """
-        slots = np.asarray(slots, dtype=np.int64)
-        return self.evaluate_packed(packed_inputs)[slots]
+        kernel = self._interpreter_for(tuple(range(program.n_slots)))
+        return list(kernel([1 if bit else 0 for bit in input_bits], 0, 1))
 
     def evaluate(self, input_bits: np.ndarray) -> np.ndarray:
         """Evaluate primary outputs for a ``(n_vectors, n_inputs)`` bit matrix.
@@ -271,15 +337,16 @@ def evaluator_for(
 
     ``opt_level`` selects the :mod:`repro.hw.opt` pipeline level the program
     is compiled at (0 = raw netlist, the oracle); ``engine`` selects the
-    execution engine (``'interp'``, ``'codegen'``, ``'native'`` or
-    ``'auto'`` — see :mod:`repro.perf.engines`).  Evaluators are cached per
-    compiled program *and* resolved engine, so alternating between levels or
-    engines does not rewrap, and any structural mutation of the netlist
-    drops the evaluator together with its compiled kernels.
+    execution engine (``'auto'`` or ``'native'`` — see
+    :mod:`repro.perf.engines`).  Evaluators are cached per compiled program
+    *and* resolved engine, so alternating between levels or engines does
+    not rewrap, a ``'native'`` request that degrades to ``'auto'`` shares
+    the ``'auto'`` entry, and any structural mutation of the netlist drops
+    the evaluator together with its compiled kernels.
 
     Example::
 
-        evaluator = evaluator_for(netlist, opt_level=2, engine="codegen")
+        evaluator = evaluator_for(netlist, opt_level=2, engine="native")
         evaluator.evaluate(vectors)          # bit-parallel sweep
         evaluator.evaluate_single([0, 1, 1]) # scalar fast path
     """

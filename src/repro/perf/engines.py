@@ -1,19 +1,19 @@
-"""Code-generating execution engines for compiled netlist programs.
+"""The execution engines behind ``engine=``: ``auto`` and ``native``.
 
-:class:`~repro.perf.bitsim.BitParallelEvaluator` (the ``interp`` engine)
-issues one numpy dispatch per gate op, so the sub-200-gate netlists behind
-Table I are dispatch-bound: each ``state[dst] = state[a] & state[b]`` costs
-far more in ufunc dispatch than in actual 64-bit word work.  This module
-provides drop-in replacements that execute the *same*
-:class:`~repro.perf.compile.CompiledProgram` bit-exactly:
+:class:`~repro.perf.bitsim.BitParallelEvaluator`, the reference
+interpreter, issues one numpy dispatch per gate op, so the sub-200-gate
+netlists behind Table I are dispatch-bound: each ``v[a] & v[b]`` costs far
+more in ufunc dispatch than in actual 64-bit word work.  The two engines
+execute the *same* :class:`~repro.perf.compile.CompiledProgram`
+bit-exactly, faster:
 
-``codegen``
-    Emit the whole cone as one generated Python function of chained bitwise
-    expressions — dead scratch slots collapse into subexpressions, ops feeding
-    a single consumer are inlined — then ``compile()`` it once per netlist
-    structure.  The generated source is *domain-neutral* (``NOT`` is spelled
-    ``x ^ ONE``, ``MUX2`` is decomposed into AND/OR/XOR), so the very same
-    kernel runs on two operand domains:
+``auto`` (the default everywhere)
+    Emits the whole cone as one generated Python function of chained
+    bitwise expressions — dead scratch slots collapse into subexpressions,
+    ops feeding a single consumer are inlined — then ``compile()`` it once
+    per netlist structure.  The generated source is *domain-neutral*
+    (``NOT`` is spelled ``x ^ ONE``, ``MUX2`` is decomposed into
+    AND/OR/XOR), so the very same kernel runs on two operand domains:
 
     * **bigint** — each net's whole packed row as one arbitrary-precision
       Python int (``int.from_bytes`` of the row).  Python's bignum kernels
@@ -22,35 +22,33 @@ provides drop-in replacements that execute the *same*
     * **numpy** — the usual ``(n_words,)`` ``uint64`` rows, used for large
       batches where bignum temporaries would outgrow the cache.
 
-    The evaluator switches domains on ``n_words`` at call time.
-
-``native``
-    The C twin of ``codegen`` (:mod:`repro.perf.native`): the same planned
-    kernel is emitted as one C function of chained bitwise ops over
-    ``uint64_t`` words, compiled with the system toolchain into a shared
-    object and called through ``ctypes``, once per batch on the calling
-    thread.  On hosts with no C compiler, ``native`` degrades to
-    ``codegen`` with a one-time warning.
-
-``auto``
-    ``codegen`` with an interpreted first tier, the way a JIT tiers up: a
-    slot tuple runs through one loop over its live ops (domain-neutral
-    like the generated source, no source text, no ``compile()``) for its
+    The evaluator switches domains on ``n_words`` at call time.  Like a JIT,
+    ``auto`` tiers up: a slot tuple runs through
+    :func:`~repro.perf.bitsim.interpret_kernel` on whole-row bigints for its
     first :data:`TIER_UP_CALLS` bigint-domain calls, and is compiled at the
     next one.  A verification clocks a cone a handful of times, far fewer
     than the calls it takes to pay back a compile; a numpy-domain call
-    compiles at once.  ``auto`` never selects ``native``: a cold ``gcc``
-    per cone costs more than a whole verification.
+    compiles at once.
 
-All engines subclass :class:`BitParallelEvaluator`, so the scalar
-``evaluate_single`` fast path and the packed API are shared, and all are
-validated bit-exact against ``interp`` across the netlist zoo (combinational
-and sequential, all opt levels) by ``tests/perf/test_engines.py``.
+``native``
+    The C twin of the compiled tier (:mod:`repro.perf.native`): the same
+    planned kernel is emitted as one C function of chained bitwise ops
+    over ``uint64_t`` words, compiled with the system toolchain into a
+    shared object and called through ``ctypes``, once per batch on the
+    calling thread.  On hosts with no C compiler, ``native`` degrades to
+    ``auto`` with a one-time warning.  ``auto`` never selects ``native``:
+    a cold ``gcc`` per cone costs more than a whole verification.
+
+Both engines subclass :class:`BitParallelEvaluator`, so the scalar
+``evaluate_single`` path and the packed API are shared.  Both are validated
+bit-exact against the reference interpreter on the netlist zoo
+(combinational and sequential, all opt levels; ``tests/perf/``) and against
+the gate walk on generated netlists (``tests/hw/test_engines_generated.py``).
 
 Typical use goes through the ``engine=`` selector on the public entry
 points rather than these classes directly::
 
-    evaluator_for(netlist, engine="codegen").evaluate(vectors)
+    evaluator_for(netlist, engine="native").evaluate(vectors)
     simulate_sequential_batch(netlist, stream, engine="auto")
 """
 
@@ -61,7 +59,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf.bitsim import BitParallelEvaluator, _ALL_ONES, op_tuples
+from repro.perf.bitsim import BitParallelEvaluator, _run_rows, live_ops, op_tuples
 from repro.perf.compile import (
     OP_AND2,
     OP_AND3,
@@ -81,12 +79,13 @@ from repro.perf.compile import (
 )
 
 #: The recognised engine names, in documentation order.
-ENGINES = ("interp", "codegen", "native", "auto")
+ENGINES = ("auto", "native")
 
-#: The codegen engine runs on Python bigints (one arbitrary-precision int
-#: per net row) up to this many words per row, and on numpy arrays beyond.
-#: Measured crossover on the 45-gate array multiplier: bigints win ~10x at
-#: 4 words and still ~3x at 128; numpy wins past ~512 words.
+#: The compiled tier of ``auto`` runs on Python bigints (one
+#: arbitrary-precision int per net row) up to this many words per row, and
+#: on numpy arrays beyond.  Measured crossover on the 45-gate array
+#: multiplier: bigints win ~10x at 4 words and still ~3x at 128; numpy wins
+#: past ~512 words.
 BIGINT_MAX_WORDS = 256
 
 #: Under ``engine='auto'`` a slot tuple runs interpreted for this many
@@ -100,9 +99,9 @@ def resolve_engine(engine: str) -> str:
     """Resolve an ``engine=`` argument to the engine that will run.
 
     ``native`` resolves to itself only when a C toolchain is present;
-    otherwise it degrades to ``codegen`` with a one-time warning, so the
-    engine-keyed evaluator caches naturally share the fallback instance.
-    The other names pass through.  Unknown names raise ``ValueError``.
+    otherwise it degrades to ``auto`` with a one-time warning, so the
+    engine-keyed evaluator caches naturally share the ``auto`` instance.
+    Unknown names raise ``ValueError``.
 
     Example::
 
@@ -115,7 +114,7 @@ def resolve_engine(engine: str) -> str:
 
         if not native_mod.native_available():
             native_mod.warn_toolchain_missing()
-            return "codegen"
+            return "auto"
     return engine
 
 
@@ -123,42 +122,14 @@ def available_engines() -> Tuple[str, ...]:
     """The engine names usable on this host, in :data:`ENGINES` order.
 
     ``native`` is listed only when a C toolchain was found (requesting it
-    without one still works — it degrades to ``codegen`` — but callers like
+    without one still works — it degrades to ``auto`` — but callers like
     the served-model metadata and the benchmarks want the honest list).
     """
     from repro.perf import native as native_mod
 
     if native_mod.native_available():
         return ENGINES
-    return tuple(e for e in ENGINES if e != "native")
-
-
-def live_ops(
-    ops: Sequence[Tuple[int, int, int, int, int]], slots: Sequence[int]
-) -> List[Tuple[int, int, int, int, int]]:
-    """The ops ``slots`` transitively read, in program order.
-
-    Backward liveness over ``(opcode, a, b, c, dst)`` tuples (see
-    :func:`~repro.perf.bitsim.op_tuples`): an op whose destination no
-    requested slot needs is dropped, so a kernel for a narrow slot tuple
-    computes only that cone.  Shared by :func:`plan_kernel` and the
-    interpreted tier.
-    """
-    live = set(slots)
-    kept = []
-    for op in reversed(ops):
-        opcode, a, b, c, dst = op
-        if dst not in live:
-            continue
-        kept.append(op)
-        live.add(a)
-        arity = OP_ARITY[opcode]
-        if arity > 1:
-            live.add(b)
-        if arity > 2:
-            live.add(c)
-    kept.reverse()
-    return kept
+    return ("auto",)
 
 
 # --------------------------------------------------------------------------- #
@@ -225,7 +196,8 @@ class KernelPlan:
 def plan_kernel(program: CompiledProgram, slots: Sequence[int]) -> KernelPlan:
     """Liveness/inlining analysis shared by the Python and C code emitters.
 
-    Backward liveness from the requested ``slots`` (:func:`live_ops`) drops
+    Backward liveness from the requested ``slots``
+    (:func:`~repro.perf.bitsim.live_ops`) drops
     dead ops before any text is produced; ops feeding a single consumer are
     inlined into their use site (bounded by :data:`_MAX_INLINE_DEPTH` so
     parsers survive long ripple chains); multi-use ops become ``v<slot>``
@@ -308,7 +280,7 @@ def generate_kernel_source(
     Example::
 
         src = generate_kernel_source(program, program.output_slots)
-        print(src)          # inspect what the codegen engine executes
+        print(src)          # inspect what ``auto`` runs once compiled
     """
     plan = plan_kernel(program, slots)
     lines = [f"    i{s} = inp[{row}]" for s, row in plan.input_loads]
@@ -323,102 +295,36 @@ def generate_kernel_source(
     )
 
 
-def interpret_kernel(
-    program: CompiledProgram,
-    ops: Sequence[Tuple[int, int, int, int, int]],
-    slots: Sequence[int],
-) -> Callable:
-    """A kernel that interprets the ops computing ``slots``: no ``compile()``.
-
-    Same signature and results as the generated ``_kernel(inp, ZERO, ONE)``
-    (:func:`generate_kernel_source`) and just as domain-neutral — ``NOT`` is
-    ``x ^ ONE`` and ``MUX2`` follows :data:`_TEMPLATES` — so it runs on
-    whole-row bigints and on numpy rows alike.  One loop over
-    :func:`live_ops`, dispatching on the opcode; building it costs a
-    liveness pass, where a generated kernel costs a plan, its source text
-    and ``compile()``.
-
-    Example::
-
-        ops = op_tuples(program)
-        kernel = interpret_kernel(program, ops, program.output_slots)
-        kernel(rows, 0, (1 << 64) - 1)       # one bigint per output slot
-    """
-    slots = [int(s) for s in slots]
-    ops = live_ops(ops, slots)
-    n_slots = program.n_slots
-    input_rows = list(enumerate(program.input_slots.tolist()))
-
-    def _kernel(inp, ZERO, ONE):
-        v = [ZERO] * n_slots
-        v[SLOT_ONE] = ONE
-        for row, s in input_rows:
-            v[s] = inp[row]
-        # Branches ordered by frequency in the Table I cones.
-        for op, a, b, c, dst in ops:
-            if op == OP_AND2:
-                v[dst] = v[a] & v[b]
-            elif op == OP_XOR2:
-                v[dst] = v[a] ^ v[b]
-            elif op == OP_OR2:
-                v[dst] = v[a] | v[b]
-            elif op == OP_MUX2:
-                sel = v[c]
-                v[dst] = (v[b] & sel) | (v[a] & (sel ^ ONE))
-            elif op == OP_NOT:
-                v[dst] = v[a] ^ ONE
-            elif op == OP_BUF:
-                v[dst] = v[a]
-            elif op == OP_XNOR2:
-                v[dst] = (v[a] ^ v[b]) ^ ONE
-            elif op == OP_NAND2:
-                v[dst] = (v[a] & v[b]) ^ ONE
-            elif op == OP_NOR2:
-                v[dst] = (v[a] | v[b]) ^ ONE
-            elif op == OP_AND3:
-                v[dst] = v[a] & v[b] & v[c]
-            elif op == OP_OR3:
-                v[dst] = v[a] | v[b] | v[c]
-            else:  # pragma: no cover - compiler emits only known opcodes
-                raise RuntimeError(f"unknown opcode {op}")
-        return tuple([v[s] for s in slots])
-
-    return _kernel
-
-
 class CodegenEvaluator(BitParallelEvaluator):
-    """Executes a program as one generated, ``compile()``d Python function.
+    """The ``auto`` engine: interpreted first, then one ``compile()``d
+    Python function per requested slot tuple.
 
-    Kernels are generated lazily per requested slot tuple (the full-state
-    compat path, the output slots, a sequential cone's output+next-state
-    slots, ...) and cached on the evaluator.  Evaluator instances themselves
-    are cached per netlist structure by :func:`~repro.perf.bitsim.
-    evaluator_for`, so structural mutation drops the kernels together with
-    the evaluator — the same invalidation discipline as every other compiled
-    artifact.
+    A slot tuple (the full-state compat path, the output slots, a
+    sequential cone's output+next-state slots, ...) runs through
+    :func:`~repro.perf.bitsim.interpret_kernel` for its first
+    :data:`TIER_UP_CALLS` bigint-domain calls; the next call, or any
+    numpy-domain call, generates and compiles its kernel, which the
+    evaluator then keeps.  Evaluator instances themselves are cached per
+    netlist structure by :func:`~repro.perf.bitsim.evaluator_for`, so
+    structural mutation drops the kernels together with the evaluator — the
+    same invalidation discipline as every other compiled artifact.
 
     At call time the operand domain is chosen by batch size: whole-row
-    Python bigints below :data:`BIGINT_MAX_WORDS` words (zero numpy
+    Python bigints up to :data:`BIGINT_MAX_WORDS` words (zero numpy
     dispatch; Python's bignum loops do the word work in C), numpy ``uint64``
     rows above.
-
-    ``tier_up_calls`` (the ``auto`` engine passes :data:`TIER_UP_CALLS`)
-    runs a slot tuple through :func:`interpret_kernel` for that many
-    bigint-domain calls before compiling it; 0, the ``codegen`` engine,
-    compiles at the first call.
 
     Example::
 
         out = CodegenEvaluator(compile_netlist(netlist)).evaluate(vectors)
     """
 
-    def __init__(self, program: CompiledProgram, tier_up_calls: int = 0) -> None:
+    def __init__(self, program: CompiledProgram) -> None:
         super().__init__(program)
-        self.tier_up_calls = tier_up_calls
         self._kernels: Dict[Tuple[int, ...], Callable] = {}
         self._sources: Dict[Tuple[int, ...], str] = {}
-        #: slot tuple -> [interpreted kernel, bigint-domain calls so far]
-        self._interpreted: Dict[Tuple[int, ...], list] = {}
+        #: slot tuple -> bigint-domain calls it has run interpreted
+        self._calls: Dict[Tuple[int, ...], int] = {}
 
     # ------------------------------------------------------------------ #
     def _kernel_for(self, slots: Tuple[int, ...]):
@@ -433,6 +339,7 @@ class CodegenEvaluator(BitParallelEvaluator):
             self._kernels[slots] = kernel
             self._sources[slots] = source
             self._interpreted.pop(slots, None)
+            self._calls.pop(slots, None)
         return kernel
 
     def _tiered_kernel(self, slots: Tuple[int, ...], n_words: int):
@@ -440,15 +347,11 @@ class CodegenEvaluator(BitParallelEvaluator):
         kernel = self._kernels.get(slots)
         if kernel is not None:
             return kernel
-        if n_words <= BIGINT_MAX_WORDS and self.tier_up_calls:
-            entry = self._interpreted.get(slots)
-            if entry is None:
-                entry = [interpret_kernel(self.program, self._ops, slots), 0]
-                self._interpreted[slots] = entry
-            if entry[1] < self.tier_up_calls:
-                entry[1] += 1
-                return entry[0]
-        return self._kernel_for(slots)
+        calls = self._calls.get(slots, 0)
+        if n_words > BIGINT_MAX_WORDS or calls >= TIER_UP_CALLS:
+            return self._kernel_for(slots)
+        self._calls[slots] = calls + 1
+        return self._interpreter_for(slots)
 
     def kernel_source(self, slots: Sequence[int]) -> str:
         """The generated source for a slot tuple (compiling it if needed)."""
@@ -457,50 +360,28 @@ class CodegenEvaluator(BitParallelEvaluator):
         return self._sources[slots]
 
     def _call(self, slots: Tuple[int, ...], packed_inputs: np.ndarray) -> np.ndarray:
-        program = self.program
-        packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
-        if packed_inputs.ndim != 2 or packed_inputs.shape[0] != program.n_inputs:
-            raise ValueError(
-                f"expected packed inputs of shape ({program.n_inputs}, n_words), "
-                f"got {packed_inputs.shape}"
-            )
+        packed_inputs = self._checked(packed_inputs)
         n_words = packed_inputs.shape[1]
         kernel = self._tiered_kernel(slots, n_words)
-        if n_words <= BIGINT_MAX_WORDS:
-            # Bigint domain: one arbitrary-precision int per input row.
-            n_bytes = n_words * 8
-            raw = np.ascontiguousarray(packed_inputs.astype("<u8", copy=False))
-            blob = raw.tobytes()
-            rows = [
-                int.from_bytes(blob[r * n_bytes : (r + 1) * n_bytes], "little")
-                for r in range(program.n_inputs)
-            ]
-            out = kernel(rows, 0, (1 << (64 * n_words)) - 1)
-            if not out:
-                return np.zeros((0, n_words), dtype=np.uint64)
-            packed_out = b"".join(x.to_bytes(n_bytes, "little") for x in out)
-            return (
-                np.frombuffer(packed_out, dtype="<u8")
-                .reshape(len(out), n_words)
-                .astype(np.uint64, copy=False)
-            )
-        zero = np.zeros(n_words, dtype=np.uint64)
-        one = np.full(n_words, _ALL_ONES, dtype=np.uint64)
-        out = kernel(packed_inputs, zero, one)
+        if n_words > BIGINT_MAX_WORDS:
+            return _run_rows(kernel, packed_inputs)
+        # Bigint domain: one arbitrary-precision int per input row.
+        n_bytes = n_words * 8
+        raw = np.ascontiguousarray(packed_inputs.astype("<u8", copy=False))
+        blob = raw.tobytes()
+        rows = [
+            int.from_bytes(blob[r * n_bytes : (r + 1) * n_bytes], "little")
+            for r in range(self.program.n_inputs)
+        ]
+        out = kernel(rows, 0, (1 << (64 * n_words)) - 1)
         if not out:
             return np.zeros((0, n_words), dtype=np.uint64)
-        return np.stack(out)
-
-    # ------------------------------------------------------------------ #
-    def evaluate_packed_slots(
-        self, packed_inputs: np.ndarray, slots: Sequence[int]
-    ) -> np.ndarray:
-        """Packed rows for the requested slots via a per-tuple kernel."""
-        return self._call(tuple(int(s) for s in slots), packed_inputs)
-
-    def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Full slot state — compatibility path through an all-slots kernel."""
-        return self._call(tuple(range(self.program.n_slots)), packed_inputs)
+        packed_out = b"".join(x.to_bytes(n_bytes, "little") for x in out)
+        return (
+            np.frombuffer(packed_out, dtype="<u8")
+            .reshape(len(out), n_words)
+            .astype(np.uint64, copy=False)
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -517,14 +398,10 @@ def make_evaluator(
         evaluator.engine                     # 'auto'
     """
     resolved = resolve_engine(engine)
-    if resolved == "interp":
-        evaluator = BitParallelEvaluator(program)
-    elif resolved == "native":
+    if resolved == "native":
         from repro.perf.native import NativeEvaluator
 
         evaluator = NativeEvaluator(program)
-    elif resolved == "auto":
-        evaluator = CodegenEvaluator(program, tier_up_calls=TIER_UP_CALLS)
     else:
         evaluator = CodegenEvaluator(program)
     evaluator.engine = resolved

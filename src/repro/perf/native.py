@@ -1,9 +1,9 @@
 """The ``native`` execution engine: compiled-C kernels called through ctypes.
 
-The ``codegen`` engine (:mod:`repro.perf.engines`) already collapses a whole
-compiled cone into one straight-line function of chained bitwise expressions
-— but CPython still interprets that function, one bytecode op (or one bignum
-limb loop) at a time.  This module emits the *same planned kernel* as C
+The compiled tier of the ``auto`` engine (:mod:`repro.perf.engines`)
+already collapses a whole compiled cone into one straight-line function of
+chained bitwise expressions — but CPython still interprets that function,
+one bytecode op (or one bignum limb loop) at a time.  This module emits the *same planned kernel* as C
 (:func:`generate_c_kernel_source` is the C twin of
 :func:`~repro.perf.engines.generate_kernel_source`; both consume one
 :func:`~repro.perf.engines.plan_kernel` pass), compiles it at
@@ -24,7 +24,7 @@ calls it through :mod:`ctypes`:
   structure loads the ``.so`` without invoking the compiler.
 * **degradation** — with no compiler (or ``$REPRO_NO_NATIVE=1``, see
   :func:`repro.toolchain.find_toolchain`),
-  ``engine='native'`` degrades to ``'codegen'`` with a one-time
+  ``engine='native'`` degrades to ``'auto'`` with a one-time
   ``RuntimeWarning``, and ``'auto'`` never selects ``native`` — hosts
   without a toolchain keep working, just not faster.
 
@@ -61,13 +61,13 @@ _WARNED_MISSING = False
 
 
 def warn_toolchain_missing() -> None:
-    """One-time ``RuntimeWarning`` that ``native`` degraded to ``codegen``."""
+    """One-time ``RuntimeWarning`` that ``native`` degraded to ``auto``."""
     global _WARNED_MISSING
     if not _WARNED_MISSING:
         _WARNED_MISSING = True
         warnings.warn(
             "no C toolchain found (tried $CC, cc, gcc, clang): "
-            "engine='native' degrades to 'codegen' on this host",
+            "engine='native' degrades to 'auto' on this host",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -145,7 +145,7 @@ class NativeEvaluator(BitParallelEvaluator):
         if toolchain is None:
             raise RuntimeError(
                 "no C toolchain available — construct evaluators through "
-                "make_evaluator(engine='native'), which degrades to codegen"
+                "make_evaluator(engine='native'), which degrades to auto"
             )
         self.toolchain = toolchain
         self._kernels: Dict[Tuple[int, ...], object] = {}
@@ -169,35 +169,13 @@ class NativeEvaluator(BitParallelEvaluator):
         self._kernel_for(slots)
         return self._sources[slots]
 
-    def _call(self, fn, packed_inputs: np.ndarray, n_out: int) -> np.ndarray:
-        program = self.program
-        packed_inputs = np.ascontiguousarray(
-            np.asarray(packed_inputs, dtype=np.uint64)
-        )
-        if packed_inputs.ndim != 2 or packed_inputs.shape[0] != program.n_inputs:
-            raise ValueError(
-                f"expected packed inputs of shape ({program.n_inputs}, n_words), "
-                f"got {packed_inputs.shape}"
-            )
+    def _call(self, slots: Tuple[int, ...], packed_inputs: np.ndarray) -> np.ndarray:
+        fn = self._kernel_for(slots)
+        packed_inputs = np.ascontiguousarray(self._checked(packed_inputs))
         n_words = packed_inputs.shape[1]
-        out = np.empty((n_out, n_words), dtype=np.uint64)
-        if n_words == 0 or n_out == 0:
+        out = np.empty((len(slots), n_words), dtype=np.uint64)
+        if n_words == 0 or not slots:
             return out
-        in_arr = packed_inputs if program.n_inputs else _EMPTY_IN
+        in_arr = packed_inputs if self.program.n_inputs else _EMPTY_IN
         fn(in_arr.ctypes.data_as(_U64P), out.ctypes.data_as(_U64P), n_words)
         return out
-
-    # ------------------------------------------------------------------ #
-    def evaluate_packed_slots(
-        self, packed_inputs: np.ndarray, slots: Sequence[int]
-    ) -> np.ndarray:
-        """Packed rows for the requested slots via a per-tuple C kernel."""
-        slots = tuple(int(s) for s in slots)
-        return self._call(self._kernel_for(slots), packed_inputs, len(slots))
-
-    def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Full slot state — compatibility path through an all-slots kernel."""
-        all_slots = tuple(range(self.program.n_slots))
-        return self._call(
-            self._kernel_for(all_slots), packed_inputs, len(all_slots)
-        )

@@ -304,8 +304,8 @@ class SequentialEvaluator:
             rows = packed_inputs[t] if streamed else packed_inputs
             cone_in = np.concatenate([rows, state], axis=0)
             # One engine call per cycle computing outputs and next state
-            # together — the codegen engines run a dedicated kernel for
-            # exactly this slot tuple (dead cone logic never executes).
+            # together — every engine runs a dedicated kernel for exactly
+            # this slot tuple (dead cone logic never executes).
             result = self._cone.evaluate_packed_slots(cone_in, self._result_slots)
             trace[t] = result[:n_outputs]
             state = result[n_outputs:]

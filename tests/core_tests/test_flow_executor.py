@@ -26,6 +26,7 @@ from repro.core.flow_executor import (
     run_flow_cached,
 )
 from repro.eval.table1 import generate_table1, table1_aggregates
+from repro.toolchain import kernel_cache_dir
 
 
 @pytest.fixture()
@@ -134,6 +135,13 @@ class TestCacheResolution:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
         assert default_cache().cache_dir == tmp_path / "elsewhere"
+
+    def test_suite_cache_is_the_session_directory(self, session_cache_dir):
+        """The suite never reads or evicts the user's default flow cache:
+        the repository's root ``conftest.py`` points its root at a session
+        directory."""
+        assert FlowResultCache().cache_dir.is_relative_to(session_cache_dir)
+        assert kernel_cache_dir().is_relative_to(session_cache_dir)
 
     def test_explicit_cache_and_false_pass_through(self, disk_cache):
         assert resolve_cache(disk_cache) is disk_cache

@@ -23,6 +23,8 @@ from repro.hw.simulate import (
 )
 from repro.perf.bitsim import (
     BitParallelEvaluator,
+    live_ops,
+    op_tuples,
     pack_vectors,
     unpack_vectors,
     words_to_ints,
@@ -208,3 +210,34 @@ class TestBitParallelEquivalence:
         netlist.mark_output(z)
         out = simulate_combinational_batch(netlist, np.array([[0], [1]]))
         assert list(out[:, 0]) == [0, 1]
+
+
+class TestReferenceInterpreter:
+    def test_live_ops_keeps_only_the_requested_cone(self):
+        netlist = GateNetlist("cones")
+        a, b, c = (netlist.add_input(n) for n in "abc")
+        (x,) = netlist.add_gate("AND2", [a, b])
+        (y,) = netlist.add_gate("OR2", [b, c])
+        (z,) = netlist.add_gate("XOR2", [x, a])
+        netlist.mark_output(z)
+        netlist.mark_output(y)
+        program = compile_netlist(netlist)
+        slot = program.net_slots
+        ops = op_tuples(program)
+
+        def dsts(slots):
+            return [op[4] for op in live_ops(ops, slots)]
+
+        assert dsts([slot[z]]) == [slot[x], slot[z]]
+        assert dsts([slot[y]]) == [slot[y]]
+        assert dsts([slot[z], slot[y]]) == [op[4] for op in ops]
+        assert dsts([slot[a], 0, 1]) == []
+
+    def test_wrong_input_width_rejected(self):
+        netlist = build_ripple_adder_netlist(2)
+        evaluator = BitParallelEvaluator(compile_netlist(netlist))
+        n_inputs = len(netlist.inputs)
+        with pytest.raises(ValueError, match=f"expected {n_inputs} input bits"):
+            evaluator.evaluate_single([0] * (n_inputs - 1))
+        with pytest.raises(ValueError, match="expected packed inputs of shape"):
+            evaluator.evaluate_packed(np.zeros((n_inputs + 1, 1), dtype=np.uint64))

@@ -1,13 +1,14 @@
 """The tiers of the ``auto`` engine: interpreted first, compiled once it pays.
 
-``auto`` runs a slot tuple through :func:`~repro.perf.engines.interpret_kernel`
+``auto`` runs a slot tuple through :func:`~repro.perf.bitsim.interpret_kernel`
 for its first :data:`~repro.perf.engines.TIER_UP_CALLS` bigint-domain calls
-and compiles the ``codegen`` kernel at the next one; a numpy-domain call
-compiles at once.  The differential tests hold ``auto`` to ``codegen`` and
-``interp`` on every call from the first to two past the tier-up point, in
-both operand domains, for the full state, for slot subsets, for per-cycle
-sequential traces and after a structural mutation.  The spy tests pin down
-when a kernel is compiled.
+and compiles its kernel at the next one; a numpy-domain call compiles at
+once.  The differential tests hold ``auto`` to the reference interpreter
+(:class:`~repro.perf.bitsim.BitParallelEvaluator`) and to ``native`` on
+every call from the first to two past the tier-up point, in both operand
+domains, for the full state, for slot subsets, for per-cycle sequential
+traces and after a structural mutation.  The spy tests pin down when a
+kernel is compiled.
 
 The hypothesis budget comes from the profile registered in
 ``tests/conftest.py``: small in tier-1, deeper under
@@ -35,12 +36,17 @@ from repro.hw.rtl.multipliers import (
 from repro.hw.rtl.mux import build_mux_tree_netlist
 from repro.hw.rtl.registers import build_counter_netlist
 from repro.hw.rtl.svm_top import build_sequential_svm_netlist
-from repro.perf.bitsim import evaluator_for, op_tuples
+from repro.perf.bitsim import (
+    BitParallelEvaluator,
+    evaluator_for,
+    interpret_kernel,
+    op_tuples,
+)
 from repro.perf.compile import compile_netlist
 from repro.perf.engines import (
     BIGINT_MAX_WORDS,
     TIER_UP_CALLS,
-    interpret_kernel,
+    available_engines,
     make_evaluator,
 )
 from repro.perf.seqsim import (
@@ -48,12 +54,30 @@ from repro.perf.seqsim import (
     compile_sequential,
     sequential_evaluator_for,
 )
+from test_engines import reference_sequential
 
 #: Calls per differential run: two past the tier-up point.
 CALLS = TIER_UP_CALLS + 2
 #: One word, the widest bigint-domain row and the narrowest numpy-domain row.
 WORDS = sorted({w for w in (1, BIGINT_MAX_WORDS, BIGINT_MAX_WORDS + 1) if w > 0})
-ENGINE_NAMES = ("interp", "codegen", "auto")
+#: The engines held to the reference interpreter (``native`` where a C
+#: toolchain exists; its kernels compile once per structure and are cached).
+ENGINE_NAMES = available_engines()
+
+
+def _evaluators(program):
+    """The reference interpreter (``"reference"``) and a fresh evaluator per engine."""
+    return {
+        "reference": BitParallelEvaluator(program),
+        **{e: make_evaluator(program, e) for e in ENGINE_NAMES},
+    }
+
+
+def _sequential(seq, engine):
+    """A sequential evaluator clocking ``seq`` on ``engine`` or the reference."""
+    if engine == "reference":
+        return reference_sequential(seq)
+    return SequentialEvaluator(seq, engine)
 
 
 def _shift_register() -> GateNetlist:
@@ -110,9 +134,9 @@ def _assert_lockstep(evaluators, program, slots, rng, n_words, where):
         packed = _random_words(rng, program.n_inputs, n_words)
         state = {e: ev.evaluate_packed(packed) for e, ev in evaluators.items()}
         rows = {e: ev.evaluate_packed_slots(packed, slots) for e, ev in evaluators.items()}
-        for engine in ("codegen", "auto"):
-            assert np.array_equal(state[engine], state["interp"]), (where, engine, call)
-            assert np.array_equal(rows[engine], rows["interp"]), (where, engine, call)
+        for engine in ENGINE_NAMES:
+            assert np.array_equal(state[engine], state["reference"]), (where, engine, call)
+            assert np.array_equal(rows[engine], rows["reference"]), (where, engine, call)
         compiled = n_words > BIGINT_MAX_WORDS or call > TIER_UP_CALLS
         assert _compiled(auto, full) == compiled, (where, call)
         if tuple(slots) != full:
@@ -126,7 +150,7 @@ class TestDifferential:
         n_words=st.sampled_from(WORDS),
         data=st.data(),
     )
-    def test_auto_matches_codegen_and_interp_across_tier_up(
+    def test_auto_matches_reference_interpreter_across_tier_up(
         self, name, opt_level, n_words, data
     ):
         program = compile_netlist(_BUILT[name], opt_level=opt_level)
@@ -134,8 +158,7 @@ class TestDifferential:
             st.lists(st.integers(0, program.n_slots - 1), max_size=8), label="slots"
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        evaluators = {e: make_evaluator(program, e) for e in ENGINE_NAMES}
-        _assert_lockstep(evaluators, program, slots, rng, n_words, name)
+        _assert_lockstep(_evaluators(program), program, slots, rng, n_words, name)
 
     @given(
         name=st.sampled_from(sorted(SEQUENTIAL)),
@@ -153,11 +176,11 @@ class TestDifferential:
         stream = _random_words(rng, CALLS, seq.n_inputs, n_words)
         start = _random_words(rng, seq.n_state, n_words)
         runs = {
-            e: SequentialEvaluator(seq, engine=e).run_packed(stream, CALLS, start)
-            for e in ENGINE_NAMES
+            e: _sequential(seq, e).run_packed(stream, CALLS, start)
+            for e in ("reference", *ENGINE_NAMES)
         }
-        trace, final = runs["interp"]
-        for engine in ("codegen", "auto"):
+        trace, final = runs["reference"]
+        for engine in ENGINE_NAMES:
             for cycle in range(CALLS):
                 assert np.array_equal(runs[engine][0][cycle], trace[cycle]), (
                     name,
@@ -179,6 +202,7 @@ class TestDifferential:
         netlist = COMBINATIONAL[name]()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         before = {e: evaluator_for(netlist, engine=e) for e in ENGINE_NAMES}
+        before["reference"] = BitParallelEvaluator(before["auto"].program)
         _assert_lockstep(before, before["auto"].program, [], rng, n_words, name)
         gate = data.draw(st.sampled_from(netlist.gates), label="gate")
         pin = data.draw(st.integers(0, len(gate.inputs) - 1), label="pin")
@@ -190,6 +214,7 @@ class TestDifferential:
         assert after["auto"] is not before["auto"]
         assert after["auto"]._kernels == {} and after["auto"]._interpreted == {}
         program = after["auto"].program
+        after["reference"] = BitParallelEvaluator(program)
         _assert_lockstep(after, program, program.output_slots, rng, n_words, name)
 
 
@@ -200,7 +225,7 @@ def test_interpreted_kernel_is_domain_neutral():
     program = seq.program
     slots = [*seq.output_slots.tolist(), *seq.next_state_slots.tolist()]
     interpreted = interpret_kernel(program, op_tuples(program), slots)
-    compiled = make_evaluator(program, "codegen")
+    compiled = make_evaluator(program, "auto")
     compiled._kernel_for(tuple(slots))
     kernel = compiled._kernels[tuple(slots)]
     rng = np.random.default_rng(5)
@@ -240,18 +265,16 @@ class TestCompileSpies:
         assert compiles == [] and auto._kernels == {}
         auto.evaluate_packed_slots(packed, slots)
         assert len(compiles) == 1 and list(auto._kernels) == [tuple(slots.tolist())]
-        assert auto._interpreted == {}
+        assert auto._interpreted == {} and auto._calls == {}
         for _ in range(3):
             auto.evaluate_packed_slots(packed, slots)
         assert len(compiles) == 1
 
-    def test_codegen_compiles_at_the_first_call(self, compiles):
+    def test_kernel_source_compiles_at_first_use(self, compiles):
         program = compile_netlist(build_array_multiplier_netlist(4, 4))
-        codegen = make_evaluator(program, "codegen")
-        packed = _random_words(np.random.default_rng(1), program.n_inputs, 2)
-        codegen.evaluate_packed_slots(packed, program.output_slots)
-        assert len(compiles) == 1 and len(codegen._kernels) == 1
-        assert codegen._interpreted == {}
+        auto = make_evaluator(program, "auto")
+        assert "def _kernel(" in auto.kernel_source(program.output_slots)
+        assert len(compiles) == 1 and len(auto._kernels) == 1
 
     def test_numpy_domain_call_compiles_at_once(self, compiles):
         program = compile_netlist(build_array_multiplier_netlist(4, 4))
@@ -269,4 +292,4 @@ class TestCompileSpies:
         cone = sequential_evaluator_for(netlist, design.library, engine="auto")._cone
         assert compiles == []
         assert cone._kernels == {}
-        assert list(cone._interpreted.values())[0][1] == design.n_classifiers
+        assert list(cone._calls.values()) == [design.n_classifiers]

@@ -3,7 +3,7 @@
 Bit-exactness across the zoo rides the shared matrices in
 ``tests/perf/test_engines.py``; this module covers what is *specific* to
 ``engine='native'``: the C source emitter, the no-compiler degradation to
-``codegen`` (one-time warning, shared cache entry, ``auto`` never picks
+``auto`` (one-time warning, shared cache entry, ``auto`` never picks
 native), the two-level kernel cache (memory + disk under the
 ``$REPRO_CACHE_DIR`` root, hit on second construction, invalidated by
 structural mutation), and the single kernel call per batch, on the calling
@@ -26,7 +26,13 @@ import repro.perf.native as native
 import repro.toolchain as toolchain_mod
 from repro.hw.rtl.adders import build_ripple_adder_netlist
 from repro.hw.rtl.multipliers import build_array_multiplier_netlist
-from repro.perf.bitsim import evaluator_for, pack_vectors, simulate_netlist_batch
+from repro.hw.rtl.registers import build_counter_netlist
+from repro.perf.bitsim import (
+    BitParallelEvaluator,
+    evaluator_for,
+    pack_vectors,
+    simulate_netlist_batch,
+)
 from repro.perf.compile import compile_netlist
 from repro.perf.engines import (
     ENGINES,
@@ -41,6 +47,7 @@ from repro.perf.native import (
     generate_c_kernel_source,
     native_available,
 )
+from repro.perf.seqsim import sequential_evaluator_for
 from repro.toolchain import Toolchain, find_toolchain
 
 requires_toolchain = pytest.mark.skipif(
@@ -67,6 +74,11 @@ def fresh_caches(tmp_path, monkeypatch):
 def _no_toolchain(monkeypatch):
     monkeypatch.setattr(toolchain_mod, "find_toolchain", lambda refresh=False: None)
     monkeypatch.setattr(native, "_WARNED_MISSING", False)
+
+
+def _reference(netlist):
+    """The reference interpreter over the netlist's compiled program."""
+    return BitParallelEvaluator(compile_netlist(netlist))
 
 
 # --------------------------------------------------------------------------- #
@@ -125,10 +137,10 @@ class TestFallback:
         monkeypatch.delenv("REPRO_NO_NATIVE")
         find_toolchain(refresh=True)  # re-probe so the snapshot restore is moot
 
-    def test_native_resolves_to_codegen_without_toolchain(self, monkeypatch):
+    def test_native_resolves_to_auto_without_toolchain(self, monkeypatch):
         _no_toolchain(monkeypatch)
-        with pytest.warns(RuntimeWarning, match="degrades to 'codegen'"):
-            assert resolve_engine("native") == "codegen"
+        with pytest.warns(RuntimeWarning, match="degrades to 'auto'"):
+            assert resolve_engine("native") == "auto"
 
     def test_fallback_warns_exactly_once(self, monkeypatch, recwarn):
         _no_toolchain(monkeypatch)
@@ -137,14 +149,23 @@ class TestFallback:
         messages = [w for w in recwarn.list if w.category is RuntimeWarning]
         assert len(messages) == 1
 
-    def test_fallback_evaluator_shares_codegen_cache_entry(self, monkeypatch):
+    def test_fallback_evaluator_shares_auto_cache_entry(self, monkeypatch):
         _no_toolchain(monkeypatch)
         netlist = build_ripple_adder_netlist(4)
         with pytest.warns(RuntimeWarning):
             via_native = evaluator_for(netlist, engine="native")
         assert isinstance(via_native, CodegenEvaluator)
-        assert via_native.engine == "codegen"
-        assert evaluator_for(netlist, engine="codegen") is via_native
+        assert via_native.engine == "auto"
+        assert evaluator_for(netlist, engine="auto") is via_native
+
+    def test_fallback_sequential_evaluator_shares_auto_cache_entry(self, monkeypatch):
+        _no_toolchain(monkeypatch)
+        netlist = build_counter_netlist(3)
+        with pytest.warns(RuntimeWarning):
+            via_native = sequential_evaluator_for(netlist, engine="native")
+        assert via_native.engine == "auto"
+        assert isinstance(via_native._cone, CodegenEvaluator)
+        assert sequential_evaluator_for(netlist, engine="auto") is via_native
 
     def test_fallback_stays_bit_exact(self, monkeypatch):
         _no_toolchain(monkeypatch)
@@ -153,8 +174,7 @@ class TestFallback:
         vectors = rng.integers(0, 2, size=(70, len(netlist.inputs)))
         with pytest.warns(RuntimeWarning):
             out = simulate_netlist_batch(netlist, vectors, engine="native")
-        reference = simulate_netlist_batch(netlist, vectors, engine="interp")
-        assert np.array_equal(out, reference)
+        assert np.array_equal(out, _reference(netlist).evaluate(vectors))
 
     def test_auto_never_selects_native(self):
         program = compile_netlist(build_ripple_adder_netlist(4))
@@ -165,7 +185,7 @@ class TestFallback:
 
     def test_available_engines_drops_native_without_toolchain(self, monkeypatch):
         _no_toolchain(monkeypatch)
-        assert available_engines() == tuple(e for e in ENGINES if e != "native")
+        assert available_engines() == ("auto",)
 
     def test_available_engines_is_full_tuple_with_toolchain(self, monkeypatch):
         monkeypatch.setattr(
@@ -240,7 +260,7 @@ class TestKernelCache:
         netlist.mark_output(inv)
         fresh = evaluator_for(netlist, engine="native")
         assert fresh is not stale
-        reference = evaluator_for(netlist, engine="interp").evaluate(vectors)
+        reference = _reference(netlist).evaluate(vectors)
         assert np.array_equal(fresh.evaluate(vectors), reference)
         # The mutated structure emits different source, hence a new disk key.
         assert len(list(toolchain_mod.kernel_cache_dir().glob("*.so"))) > n_so_before
@@ -266,7 +286,7 @@ class TestKernelCache:
         so_path.parent.mkdir(parents=True)
         so_path.write_bytes(b"")
         vectors = np.random.default_rng(4).integers(0, 2, size=(80, len(netlist.inputs)))
-        reference = evaluator_for(netlist, engine="interp").evaluate(vectors)
+        reference = _reference(netlist).evaluate(vectors)
         assert np.array_equal(evaluator.evaluate(vectors), reference)
         assert len(invocations) == 1
         assert so_path.stat().st_size > 0
@@ -347,27 +367,30 @@ class TestSingleCall:
 
 
 # --------------------------------------------------------------------------- #
-# Batch sizes across the bigint/numpy domain boundary (vs codegen + interp)
+# Batch sizes across the bigint/numpy domain boundary (vs auto + reference)
 # --------------------------------------------------------------------------- #
 @requires_toolchain
 class TestDomainBoundary:
-    def test_large_batch_matches_codegen_numpy_domain(self, fresh_caches):
-        """Past BIGINT_MAX_WORDS codegen switches to its numpy domain; the
-        native kernel must agree with both domains and with interp, one
-        word past the boundary and far past it (4,097 words)."""
+    def test_large_batch_matches_auto_numpy_domain(self, fresh_caches):
+        """Past BIGINT_MAX_WORDS auto compiles and switches to its numpy
+        domain; the native kernel must agree with it and with the reference
+        interpreter, one word past the boundary and far past it (4,097
+        words)."""
         netlist = build_ripple_adder_netlist(4)
         rng = np.random.default_rng(7)
-        slots = evaluator_for(netlist, engine="interp").program.output_slots
+        reference = _reference(netlist)
+        slots = reference.program.output_slots
         for n_words in (BIGINT_MAX_WORDS + 1, 4097):
             vectors = rng.integers(0, 2, size=(n_words * 64, len(netlist.inputs)))
             packed, _ = pack_vectors(vectors)
             assert packed.shape[1] == n_words
             outs = {
                 e: evaluator_for(netlist, engine=e).evaluate_packed_slots(packed, slots)
-                for e in ("interp", "codegen", "native")
+                for e in ENGINES
             }
-            assert np.array_equal(outs["native"], outs["interp"]), n_words
-            assert np.array_equal(outs["native"], outs["codegen"]), n_words
+            expected = reference.evaluate_packed_slots(packed, slots)
+            assert np.array_equal(outs["native"], expected), n_words
+            assert np.array_equal(outs["native"], outs["auto"]), n_words
 
 
 # --------------------------------------------------------------------------- #
@@ -381,11 +404,11 @@ class TestSelection:
         assert isinstance(evaluator, NativeEvaluator)
         assert evaluator.engine == "native"
 
-    def test_native_evaluator_cached_separately_from_codegen(self, fresh_caches):
+    def test_native_evaluator_cached_separately_from_auto(self, fresh_caches):
         netlist = build_ripple_adder_netlist(4)
         native_ev = evaluator_for(netlist, engine="native")
-        codegen_ev = evaluator_for(netlist, engine="codegen")
-        assert native_ev is not codegen_ev
+        auto_ev = evaluator_for(netlist, engine="auto")
+        assert native_ev is not auto_ev
         assert evaluator_for(netlist, engine="native") is native_ev
 
     def test_toolchain_fingerprint_is_stable_and_version_sensitive(self):

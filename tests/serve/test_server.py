@@ -163,7 +163,8 @@ def test_registry_trains_then_loads_from_persistent_cache(tmp_path, tiny_flow_co
     assert first.backend == "datapath.run_batch"
     # /models lists the simulation engines this host can run.
     assert first.info["simulation_engines"] == list(available_engines())
-    assert "fused" not in first.info["simulation_engines"]
+    assert first.info["simulation_engines"][0] == "auto"
+    assert set(first.info["simulation_engines"]) <= {"auto", "native"}
 
     clear_flow_cache()  # drop the in-process layer; only the disk cache remains
     before = training_run_count()

@@ -123,6 +123,38 @@ def test_flag_check_reports_both_directions(tmp_path, check_docs, monkeypatch):
     assert "defines --new-flag" in problems[1]
 
 
+def test_choice_sets_must_match_the_parser(tmp_path, check_docs, monkeypatch):
+    """A literal ``choices=`` is read as is; a bare name is followed through
+    its ``from ... import`` to the tuple that module assigns at top level."""
+    doc = tmp_path / "cli.md"
+    source = tmp_path / "cli.py"
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "__init__.py").write_text("")
+    (tmp_path / "src" / "pkg" / "engines.py").write_text('ENGINES = ("auto", "native")\n')
+    source.write_text(
+        "from pkg.engines import ENGINES\n"
+        'parser.add_argument("--engine", choices=ENGINES)\n'
+        'parser.add_argument("--opt-level", type=int, choices=(0, 1, 2))\n'
+        'parser.add_argument("--datasets", choices=available_datasets())\n'
+    )
+    monkeypatch.setattr(check_docs, "CLI_DOC", doc)
+    monkeypatch.setattr(check_docs, "CLI_SOURCE", source)
+    monkeypatch.setattr(check_docs, "SRC_DIR", tmp_path / "src")
+
+    doc.write_text("| `--engine {auto,native}` | x |\n| `--opt-level {0,1,2}` | y |\n")
+    assert check_docs.check_choices() == []
+
+    doc.write_text("| `--engine {interp,codegen,native,auto}` | x |\n")
+    assert check_docs.check_choices() == [
+        "docs/cli.md lists --engine {auto,codegen,interp,native}, "
+        "but src/repro/cli.py accepts {auto,native}"
+    ]
+
+    doc.write_text("| `--datasets {cardio}` | z |\n")
+    (problem,) = check_docs.check_choices()
+    assert "no choices= this check can read" in problem
+
+
 def test_dead_relative_link_is_reported(tmp_path, check_docs, monkeypatch):
     (tmp_path / "there.md").write_text("")
     page = tmp_path / "page.md"

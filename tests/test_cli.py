@@ -18,11 +18,12 @@ class TestTable1Command:
         with pytest.raises(SystemExit):
             main_table1(["--datasets", "imagenet"])
 
-    def test_fused_engine_rejected(self, capsys):
+    @pytest.mark.parametrize("engine", ["fused", "interp", "codegen"])
+    def test_retired_engine_rejected(self, capsys, engine):
         with pytest.raises(SystemExit) as excinfo:
-            main_table1(["--datasets", "redwine", "--fast", "--engine", "fused"])
+            main_table1(["--datasets", "redwine", "--fast", "--engine", engine])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'fused'" in capsys.readouterr().err
+        assert f"invalid choice: '{engine}'" in capsys.readouterr().err
 
     def test_jobs_and_cache_dir_flags(self, tmp_path, capsys):
         """A sharded cold run persists results; the warm rerun matches it."""
