@@ -275,8 +275,6 @@ class SequentialSVMDesign:
 
         netlist, ports = self.gate_netlist()
         codes = self.model.quantize_inputs(np.asarray(X))
-        if codes.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
         trace = simulate_sequential_batch(
             netlist,
             ports.input_matrix(codes),
@@ -293,8 +291,12 @@ class SequentialSVMDesign:
         """Assert the gate-level netlist bit-exact against the cycle oracle.
 
         Checks every cycle of every sample: score, best score, best class
-        and comparator-fired must match the behavioural
-        :class:`~repro.hw.simulate.SequentialDatapathSimulator` trace.
+        and comparator-fired must match the per-cycle planes of the
+        behavioural oracle's
+        :meth:`~repro.hw.simulate.SequentialDatapathSimulator.trace_batch`,
+        the batched form of its scalar ``run()`` traces (see
+        :func:`~repro.hw.rtl.svm_top.verify_sequential_svm_netlist`).  An
+        empty batch verifies trivially.
         """
         from repro.hw.rtl.svm_top import verify_sequential_svm_netlist
 

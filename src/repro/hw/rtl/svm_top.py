@@ -34,7 +34,9 @@ score), ``best_next`` / ``pred`` (the D values of the voter registers,
 i.e. best score / best class *after* cycle ``k``'s clock edge) and
 ``fired`` — each bit-comparable against the corresponding
 :class:`~repro.hw.simulate.CycleTrace` field of the behavioural oracle,
-which :func:`verify_sequential_svm_netlist` automates.
+which :func:`verify_sequential_svm_netlist` automates for a whole batch
+against the oracle's
+:meth:`~repro.hw.simulate.SequentialDatapathSimulator.trace_batch` planes.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class SequentialSVMPorts:
             raise ValueError(f"input codes out of {self.input_bits}-bit range")
         shifts = np.arange(self.input_bits, dtype=np.int64)
         bits = (codes[:, :, None] >> shifts) & 1
-        return bits.reshape(codes.shape[0], -1)
+        return bits.reshape(codes.shape[0], self.n_features * self.input_bits)
 
     # Output column ranges (in ``netlist.outputs`` order).
     def score_lanes(self) -> range:
@@ -425,11 +427,12 @@ def verify_sequential_svm_netlist(
     Runs the clocked netlist for ``n_classifiers`` cycles on every sample of
     ``codes`` (quantized input codes) through the bit-parallel engine,
     decodes the score / best-score / best-class / fired buses per cycle, and
-    compares each against the corresponding
-    :class:`~repro.hw.simulate.CycleTrace` field of
-    :meth:`~repro.hw.simulate.SequentialDatapathSimulator.run` for the same
-    sample.  Returns True when every field of every cycle of every sample
-    matches.
+    compares each against the corresponding plane of
+    :meth:`~repro.hw.simulate.SequentialDatapathSimulator.trace_batch` — the
+    batched form of the :class:`~repro.hw.simulate.CycleTrace` fields that
+    :meth:`~repro.hw.simulate.SequentialDatapathSimulator.run` records per
+    sample, held bit-exact to it.  Returns True when every field of every
+    cycle of every sample matches (vacuously for an empty batch).
 
     Example::
 
@@ -453,7 +456,6 @@ def verify_sequential_svm_netlist(
         raise ValueError(
             f"oracle has {oracle.n_classifiers} classifiers, the netlist {cycles}"
         )
-    n_samples = codes.shape[0]
     trace = simulate_sequential_batch(
         netlist,
         ports.input_matrix(codes),
@@ -462,18 +464,9 @@ def verify_sequential_svm_netlist(
         opt_level=opt_level,
         engine=engine,
     )
-    # Stack the oracle traces into (cycles, n_samples) planes once, then
-    # decode each cycle's buses for the whole batch in one vectorized call.
-    steps = [
-        (step.score, step.best_score, step.best_class, int(step.comparator_fired))
-        for s in range(n_samples)
-        for step in oracle.run(codes[s]).trace
-    ]
-    expected = (
-        np.asarray(steps, dtype=np.int64)
-        .reshape(n_samples, cycles, 4)
-        .transpose(2, 1, 0)
-    )
+    # Decode each cycle's buses for the whole batch in one vectorized call
+    # and compare them with the oracle's (cycles, n_samples) planes.
+    expected = oracle.trace_batch(codes)
     for t in range(cycles):
         plane = trace[t]
         if not (

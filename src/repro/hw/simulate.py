@@ -27,7 +27,12 @@ Three simulators live here:
   :meth:`~SequentialDatapathSimulator.run` is the trace-producing reference;
   :meth:`~SequentialDatapathSimulator.run_batch` computes the same
   predictions for whole batches with one matmul plus a first-max-wins argmax
-  that preserves the strict ``A > B`` comparator semantics.
+  that preserves the strict ``A > B`` comparator semantics, and
+  :meth:`~SequentialDatapathSimulator.trace_batch` computes the same
+  per-cycle traces (score, best score, best class, fired) for whole batches
+  with that matmul plus one vectorized voter step per cycle — the planes the
+  gate-level top is verified against
+  (:func:`repro.hw.rtl.svm_top.verify_sequential_svm_netlist`).
 """
 
 from __future__ import annotations
@@ -194,9 +199,10 @@ def simulate_sequential_reference(
 def _validate_batch_codes(input_codes: np.ndarray, n_features: int) -> np.ndarray:
     """Normalize a batch of quantized input vectors to ``(n, n_features)`` int64.
 
-    Shared by both simulators' ``run_batch``: 1-D inputs are treated as a
-    single sample, feature-count mismatches raise like the scalar ``run()``
-    does, and an empty batch stays a well-typed ``(0, n_features)`` array.
+    Shared by both simulators' ``run_batch`` and by ``trace_batch``: 1-D
+    inputs are treated as a single sample, feature-count mismatches raise
+    like the scalar ``run()`` does, and an empty batch stays a well-typed
+    ``(0, n_features)`` array.
     """
     input_codes = np.asarray(input_codes, dtype=np.int64)
     if input_codes.ndim == 1:
@@ -261,6 +267,13 @@ class SequentialDatapathSimulator:
 
     Cycle 0 initialises the registers with the first classifier's result, as
     the hardware reset strategy prescribes.
+
+    Three entry points share these semantics: :meth:`run` classifies one
+    sample and records its full :class:`CycleTrace` list (the scalar
+    reference), :meth:`run_batch` returns the predicted class of every sample
+    of a batch, and :meth:`trace_batch` returns the per-cycle score, best
+    score, best class and fired planes of every sample of a batch.  The two
+    batch methods are held bit-exact to :meth:`run`.
     """
 
     def __init__(self, weight_codes: np.ndarray, bias_codes: np.ndarray) -> None:
@@ -331,6 +344,39 @@ class SequentialDatapathSimulator:
             return np.zeros(0, dtype=np.int64)
         scores = input_codes @ self.weight_codes.T + self.bias_codes
         return np.argmax(scores, axis=1).astype(np.int64)
+
+    def trace_batch(self, input_codes: np.ndarray) -> np.ndarray:
+        """Per-cycle voter state for a batch of quantized input vectors.
+
+        Vectorized equivalent of the :meth:`run` traces: one
+        ``codes @ W.T + b`` matmul produces every classifier score, then one
+        vectorized voter step per cycle updates every sample's registers
+        (cycle 0 always fires; a later cycle fires only on a strict
+        ``score > best``, so ties keep the earlier class).  Returns an int64
+        array of shape ``(4, n_classifiers, n_samples)`` whose planes are
+        score, best score, best class and fired (0/1): ``[:, k, s]`` holds the
+        ``score``, ``best_score``, ``best_class`` and ``comparator_fired``
+        fields of ``run(codes[s]).trace[k]``.  Bit-identical to the scalar
+        oracle; see the equivalence tests.
+        """
+        input_codes = _validate_batch_codes(input_codes, self.n_features)
+        trace = np.empty(
+            (4, self.n_classifiers, input_codes.shape[0]), dtype=np.int64
+        )
+        score, best_score, best_class, fired = trace
+        score[...] = (input_codes @ self.weight_codes.T + self.bias_codes).T
+        # Cycle 0 loads the registers unconditionally (the [:1] slices are
+        # empty for a model without classifiers).
+        fired[:1] = 1
+        best_score[:1] = score[:1]
+        best_class[:1] = 0
+        for cycle in range(1, self.n_classifiers):
+            fired[cycle] = score[cycle] > best_score[cycle - 1]
+            best_score[cycle] = np.where(
+                fired[cycle], score[cycle], best_score[cycle - 1]
+            )
+            best_class[cycle] = np.where(fired[cycle], cycle, best_class[cycle - 1])
+        return trace
 
 
 class ParallelDatapathSimulator:

@@ -417,6 +417,12 @@ def benchmark_roofline(
     engine still is from machine-limited execution (dispatch overhead shows
     up as a small fraction).  Workload: the 45-gate 5x5 array multiplier —
     the same netlist the perf-smoke engine floors are asserted on.
+
+    Where a toolchain exists, ``native_vs_auto`` is ``native``'s speedup
+    over ``auto``'s compiled kernel as the median ratio of interleaved
+    pairs (:func:`_time_pairs`), the figure the perf-smoke floor reads: the
+    per-engine rows are each a best-of-3 in its own block, so a slow host
+    phase can land on one row only.
     """
     netlist = build_array_multiplier_netlist(5, 5)
     rng = np.random.default_rng(seed)
@@ -425,13 +431,15 @@ def benchmark_roofline(
     n_words = packed.shape[1]
     memcpy_bytes_per_s = measure_memcpy_bandwidth()
     engines: Dict[str, Dict[str, float]] = {}
+    sweeps: Dict[str, Callable[[], object]] = {}
     n_ops = None
     for e in _benchmarked():
         evaluator = _evaluator(netlist, e)
         n_ops = evaluator.program.n_ops
         slots = evaluator.program.output_slots
         _warm(evaluator, packed, slots)
-        t = _time(lambda: evaluator.evaluate_packed_slots(packed, slots), repeats=3)
+        sweeps[e] = lambda ev=evaluator, sl=slots: ev.evaluate_packed_slots(packed, sl)
+        t = _time(sweeps[e], repeats=3)
         min_bytes = n_ops * 3 * n_words * 8
         engines[e] = {
             "gate_evals_per_s": netlist.n_gates() * n_vectors / t,
@@ -439,7 +447,7 @@ def benchmark_roofline(
             "effective_bytes_per_s": min_bytes / t,
             "fraction_of_memcpy": (min_bytes / t) / memcpy_bytes_per_s,
         }
-    return {
+    record = {
         "workload": "array_multiplier_5x5",
         "n_gates": float(netlist.n_gates()),
         "n_ops": float(n_ops),
@@ -448,6 +456,9 @@ def benchmark_roofline(
         "memcpy_bytes_per_s": memcpy_bytes_per_s,
         "engines": engines,
     }
+    if "native" in sweeps:
+        record["native_vs_auto"] = _time_pairs(sweeps["auto"], sweeps["native"])[2]
+    return record
 
 
 # --------------------------------------------------------------------------- #
@@ -542,11 +553,8 @@ def run_simulation_benchmark(fast: bool = True, seed: int = 0) -> Dict:
             "array_multiplier_5x5"
         ]["auto_speedup_vs_interp"],
     }
-    if "native" in roofline["engines"]:
-        min_speedups["engine_native_vs_auto_45g_multiplier"] = (
-            roofline["engines"]["native"]["gate_evals_per_s"]
-            / roofline["engines"]["auto"]["gate_evals_per_s"]
-        )
+    if "native_vs_auto" in roofline:
+        min_speedups["engine_native_vs_auto_45g_multiplier"] = roofline["native_vs_auto"]
     return {
         "benchmark": "simulation_throughput",
         "config": "fast" if fast else "full",

@@ -213,12 +213,18 @@ class TestOracleEquivalence:
 
 
 class TestSequentialSVMTop:
-    def test_gate_level_svm_matches_datapath_oracle_every_cycle(self):
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def _model(seed: int = 3):
+        """A 6-classifier, 5-feature model with 40 samples of 3-bit codes."""
+        rng = np.random.default_rng(seed)
         weights = rng.integers(-15, 16, size=(6, 5))
         biases = rng.integers(-60, 61, size=6)
-        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=3)
         codes = rng.integers(0, 8, size=(40, 5))
+        return weights, biases, codes
+
+    def test_gate_level_svm_matches_datapath_oracle_every_cycle(self):
+        weights, biases, codes = self._model()
+        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=3)
         oracle = SequentialDatapathSimulator(weights, biases)
         assert verify_sequential_svm_netlist(top, ports, codes, oracle)
         assert verify_sequential_svm_netlist(top, ports, codes, oracle, opt_level=2)
@@ -269,6 +275,60 @@ class TestSequentialSVMTop:
         with pytest.raises(ValueError):
             ports.input_matrix(np.array([[1, 2, 3]]))  # wrong feature count
 
+    def test_oracle_with_a_higher_bias_is_caught(self):
+        weights, biases, codes = self._model()
+        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=3)
+        shifted = biases.copy()
+        shifted[4] += 1
+        oracle = SequentialDatapathSimulator(weights, shifted)
+        assert not verify_sequential_svm_netlist(top, ports, codes, oracle)
+
+    def test_oracle_with_swapped_weight_rows_is_caught(self):
+        weights, biases, codes = self._model()
+        assert not np.array_equal(weights[1], weights[2])
+        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=3)
+        swapped = weights[[0, 2, 1, 3, 4, 5]]
+        oracle = SequentialDatapathSimulator(swapped, biases)
+        assert not verify_sequential_svm_netlist(top, ports, codes, oracle)
+
+    def test_top_built_from_another_bias_is_caught(self):
+        weights, biases, codes = self._model()
+        other = biases.copy()
+        other[2] -= 1
+        top, ports = build_sequential_svm_netlist(weights, other, input_bits=3)
+        oracle = SequentialDatapathSimulator(weights, biases)
+        assert not verify_sequential_svm_netlist(top, ports, codes, oracle)
+        assert not verify_sequential_svm_netlist(
+            top, ports, codes, oracle, opt_level=2
+        )
+
+    def test_one_flipped_fired_bit_is_caught(self, monkeypatch):
+        import repro.perf.seqsim as seqsim
+
+        weights, biases, codes = self._model()
+        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=3)
+        oracle = SequentialDatapathSimulator(weights, biases)
+        assert verify_sequential_svm_netlist(top, ports, codes, oracle)
+        real = seqsim.simulate_sequential_batch
+
+        def one_bit_off(*args, **kwargs):
+            trace = real(*args, **kwargs).copy()
+            trace[3, 17, ports.fired_lane()] ^= 1
+            return trace
+
+        monkeypatch.setattr(seqsim, "simulate_sequential_batch", one_bit_off)
+        assert not verify_sequential_svm_netlist(top, ports, codes, oracle)
+
+    @pytest.mark.parametrize("engine", ["auto", "native"])
+    def test_empty_batch_verifies(self, engine):
+        weights, biases, codes = self._model()
+        top, ports = build_sequential_svm_netlist(weights, biases, input_bits=3)
+        assert ports.input_matrix(codes[:0]).shape == (0, 15)
+        oracle = SequentialDatapathSimulator(weights, biases)
+        assert verify_sequential_svm_netlist(
+            top, ports, codes[:0], oracle, engine=engine
+        )
+
 
 class TestDesignIntegration:
     def test_design_gate_level_agrees_with_model(self):
@@ -282,3 +342,26 @@ class TestDesignIntegration:
         assert np.array_equal(gate_ids, design.simulate_batch(X))
         # The netlist is built once and cached on the design.
         assert design.gate_netlist()[0] is design.gate_netlist()[0]
+
+    def test_verification_makes_no_scalar_run_call(
+        self, sequential_design, small_split, monkeypatch
+    ):
+        calls = []
+        real = SequentialDatapathSimulator.run
+
+        def spy(self, input_codes):
+            calls.append(1)
+            return real(self, input_codes)
+
+        monkeypatch.setattr(SequentialDatapathSimulator, "run", spy)
+        assert sequential_design.verify_gate_level(small_split.X_test)
+        assert calls == []
+
+    @pytest.mark.parametrize("engine", ["auto", "native"])
+    def test_empty_batch_verifies_and_simulates(
+        self, sequential_design, small_split, engine
+    ):
+        empty = small_split.X_test[:0]
+        assert sequential_design.verify_gate_level(empty, engine=engine)
+        ids = sequential_design.simulate_gate_level(empty, engine=engine)
+        assert ids.shape == (0,) and ids.dtype == np.int64
