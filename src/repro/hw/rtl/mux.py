@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -67,47 +67,57 @@ def _column_cost(column: Sequence[int]) -> Counter:
       recursive result;
     * otherwise -> a MUX2 plus the cost of both halves.
 
-    The recursion returns ``(kind, cells)`` where ``kind`` is "const0",
-    "const1", "wire" or "logic"; only the cells matter to the caller.
+    The recursion returns the kind of a sub-tree ("const0", "const1",
+    "wire" or "logic") and adds the cells it needs to one dict; only the
+    cells matter to the caller.
     """
+    cells: Dict[str, int] = {}
 
-    def reduce(bits: Sequence[int]) -> tuple:
+    def add(*names: str) -> None:
+        for cell in names:
+            cells[cell] = cells.get(cell, 0) + 1
+
+    def reduce(bits: tuple) -> str:
+        # A node adds its cells after both halves have added theirs, so the
+        # keys keep one fixed order, which the library's float sums over a
+        # block's counts and toggles follow.
+        if 1 not in bits:
+            return "const0"
+        if 0 not in bits:
+            return "const1"
         n = len(bits)
-        if all(b == 0 for b in bits):
-            return "const0", Counter()
-        if all(b == 1 for b in bits):
-            return "const1", Counter()
-        if n == 1:
-            return ("const1", Counter()) if bits[0] else ("const0", Counter())
         if n == 2:
             # Depends on exactly one select bit: a wire or an inverter.
-            if bits == (0, 1) or list(bits) == [0, 1]:
-                return "wire", Counter()
-            return "wire", Counter({"INV": 1})
-        half = 1 << (int(math.ceil(math.log2(n))) - 1)
-        lo_kind, lo_cells = reduce(bits[:half])
-        hi_kind, hi_cells = reduce(list(bits[half:]) + [0] * (2 * half - n))
-        cells = lo_cells + hi_cells
+            if bits != (0, 1):
+                add("INV")
+            return "wire"
+        half = 1 << ((n - 1).bit_length() - 1)
+        lo_kind = reduce(bits[:half])
+        hi_kind = reduce(bits[half:] + (0,) * (2 * half - n))
         kinds = {lo_kind, hi_kind}
         if kinds == {"const0"}:
-            return "const0", cells
+            return "const0"
         if kinds == {"const1"}:
-            return "const1", cells
+            return "const1"
         if kinds <= {"const0", "const1"}:
             # Output equals (possibly inverted) top select bit.
-            return "wire", cells + Counter({"INV": 1 if lo_kind == "const1" else 0})
+            if lo_kind == "const1":
+                add("INV")
+            return "wire"
         if lo_kind == "const0":
-            return "logic", cells + Counter({"AND2": 1})
-        if hi_kind == "const0":
-            return "logic", cells + Counter({"AND2": 1, "INV": 1})
-        if lo_kind == "const1":
-            return "logic", cells + Counter({"OR2": 1, "INV": 1})
-        if hi_kind == "const1":
-            return "logic", cells + Counter({"OR2": 1})
-        return "logic", cells + Counter({"MUX2": 1})
+            add("AND2")
+        elif hi_kind == "const0":
+            add("AND2", "INV")
+        elif lo_kind == "const1":
+            add("OR2", "INV")
+        elif hi_kind == "const1":
+            add("OR2")
+        else:
+            add("MUX2")
+        return "logic"
 
-    _, cells = reduce(list(int(b) & 1 for b in column))
-    return cells
+    reduce(tuple(int(b) & 1 for b in column))
+    return Counter(cells)
 
 
 def storage_table_bits(coefficients: np.ndarray, bits_per_value: Sequence[int]) -> np.ndarray:
@@ -164,9 +174,14 @@ def constant_mux_storage(
     coefficients = np.asarray(coefficients, dtype=np.int64)
     n_words = coefficients.shape[0]
     bit_matrix = storage_table_bits(coefficients, bits_per_value)
+    # Equal columns cost the same, so each distinct column is priced once.
+    # Pricing them in order of first appearance gives ``counts`` the key
+    # order of pricing every column in turn.
+    columns = Counter(map(tuple, bit_matrix.T.tolist()))
     counts: Counter = Counter()
-    for col in range(bit_matrix.shape[1]):
-        counts.update(_column_cost(tuple(int(b) for b in bit_matrix[:, col])))
+    for column, repeats in columns.items():
+        for cell, n in _column_cost(column).items():
+            counts[cell] += n * repeats
 
     if n_words <= 1:
         depth_levels = 0

@@ -46,6 +46,7 @@ from repro.perf.compile import (
     OP_XNOR2,
     OP_XOR2,
     CompiledProgram,
+    OpTuple,
     SLOT_ONE,
     compile_netlist,
 )
@@ -90,34 +91,30 @@ def unpack_vectors(packed: np.ndarray, n_vectors: int) -> np.ndarray:
     """
     packed = np.asarray(packed, dtype=np.uint64)
     bits = (packed[:, :, None] >> _BIT_POSITIONS) & np.uint64(1)
-    n_lines = packed.shape[0]
-    return bits.reshape(n_lines, -1).T[:n_vectors].astype(np.int64)
+    n_lines, n_words = packed.shape
+    return bits.reshape(n_lines, n_words * 64).T[:n_vectors].astype(np.int64)
 
 
-def op_tuples(program: CompiledProgram) -> List[Tuple[int, int, int, int, int]]:
+def op_tuples(program: CompiledProgram) -> List[OpTuple]:
     """The program's op stream as plain-int ``(opcode, a, b, c, dst)`` tuples.
 
     Every Python-level walk of a program (:func:`live_ops`, hence
     :func:`interpret_kernel` and the code emitters of
-    :mod:`repro.perf.engines`) runs on these: one ``.tolist()`` per array
-    instead of five numpy scalar reads per op.
+    :mod:`repro.perf.engines`) runs on these.  It is the very list the
+    lowerer (:func:`~repro.perf.compile.lower_gates`) appended to, kept on
+    the program as ``ops``, so nothing reads the numpy arrays back; callers
+    must not mutate it.
 
     Example::
 
         op_tuples(compile_netlist(netlist))[0]   # e.g. (2, 2, 3, 0, 4)
     """
-    return list(
-        zip(
-            program.opcodes.tolist(),
-            *program.operands.T.tolist(),
-            program.dsts.tolist(),
-        )
-    )
+    return program.ops
 
 
 def live_ops(
-    ops: Sequence[Tuple[int, int, int, int, int]], slots: Sequence[int]
-) -> List[Tuple[int, int, int, int, int]]:
+    ops: Sequence[OpTuple], slots: Sequence[int]
+) -> List[OpTuple]:
     """The ops ``slots`` transitively read, in program order.
 
     Backward liveness over ``(opcode, a, b, c, dst)`` tuples (see
@@ -145,7 +142,7 @@ def live_ops(
 
 def interpret_kernel(
     program: CompiledProgram,
-    ops: Sequence[Tuple[int, int, int, int, int]],
+    ops: Sequence[OpTuple],
     slots: Sequence[int],
 ) -> Callable:
     """A kernel that interprets the ops computing ``slots``: no ``compile()``.

@@ -18,10 +18,16 @@ Lowering rules
   XOR + AND, ``FA`` becomes the standard 5-op sum/majority decomposition
   (sharing the ``a ^ b`` term).
 * ``DFF`` and ``ADC1`` follow the library's combinationally-transparent
-  simulation models (a buffer), matching :func:`simulate_combinational`.
+  simulation models (a buffer), matching :func:`simulate_combinational`;
+  a clocked lowering skips flip-flops instead (their Q nets are inputs).
 * Any other cell that declares a boolean ``function`` is lowered through its
   truth table (sum of minterms over scratch slots), so custom libraries keep
   working without touching the compiler.
+
+:func:`lower_gates` does the lowering in one walk over the gates, appending
+plain-int op tuples that the program keeps (``ops``) beside the numpy arrays
+built once from them; :func:`compile_netlist` and the clocked-netlist
+compiler of :mod:`repro.perf.seqsim` both call it.
 
 Programs are cached on the netlist instance per (library, structure version,
 opt level) and invalidated by any structural mutation — growth through the
@@ -33,13 +39,14 @@ sweeps over the same netlist compile only once.  ``opt_level > 0`` runs the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import itertools
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hw.cells import CellLibrary
-from repro.hw.netlist import GateNetlist
+from repro.hw.netlist import GateInstance, GateNetlist
 from repro.hw.pdk import EGFET_PDK
 
 # --------------------------------------------------------------------------- #
@@ -151,6 +158,9 @@ def cell_matches_canonical(cell) -> bool:
 SLOT_ZERO = 0
 SLOT_ONE = 1
 
+#: One primitive op as plain ints: ``(opcode, a, b, c, dst)``.
+OpTuple = Tuple[int, int, int, int, int]
+
 
 @dataclass
 class CompiledProgram:
@@ -176,6 +186,11 @@ class CompiledProgram:
     net_slots:
         Slot of every *named* net (constants, inputs and gate outputs);
         scratch slots carry no name.
+    ops:
+        The same op stream as plain-int ``(opcode, a, b, c, dst)`` tuples:
+        the list the lowerer appended to, from which the arrays were built.
+        Every Python-level walk of the program reads it
+        (:func:`repro.perf.bitsim.op_tuples`).
 
     Example::
 
@@ -194,6 +209,7 @@ class CompiledProgram:
     output_names: List[str]
     output_slots: np.ndarray
     net_slots: Dict[str, int]
+    ops: List[OpTuple] = field(repr=False)
 
     @property
     def n_ops(self) -> int:
@@ -227,36 +243,18 @@ class CompiledProgram:
         return lines
 
 
-class _ProgramBuilder:
-    """Accumulates primitive ops and allocates slots during lowering."""
-
-    def __init__(self) -> None:
-        self.opcodes: List[int] = []
-        self.operands: List[Tuple[int, int, int]] = []
-        self.dsts: List[int] = []
-        self.n_slots = 2  # constants occupy slots 0 and 1
-
-    def new_slot(self) -> int:
-        slot = self.n_slots
-        self.n_slots += 1
-        return slot
-
-    def emit(self, opcode: int, a: int, b: int = 0, c: int = 0, dst: Optional[int] = None) -> int:
-        if dst is None:
-            dst = self.new_slot()
-        self.opcodes.append(opcode)
-        self.operands.append((a, b, c))
-        self.dsts.append(dst)
-        return dst
-
-
 def _lower_truth_table(
-    builder: _ProgramBuilder,
+    ops: List[OpTuple],
+    n_slots: int,
     cell,
-    in_slots: List[int],
-    out_slots: List[int],
-) -> None:
-    """Lower an arbitrary cell through its truth table (sum of minterms)."""
+    in_slots: Sequence[int],
+    out_slots: Sequence[int],
+) -> int:
+    """Lower an arbitrary cell through its truth table (sum of minterms).
+
+    Appends the ops to ``ops``, allocates scratch slots from ``n_slots`` on
+    and returns the next free slot.
+    """
     n = cell.n_inputs
     if n > 10:
         raise NotImplementedError(
@@ -264,7 +262,9 @@ def _lower_truth_table(
             "limited to 10 inputs"
         )
     # Pre-invert each input once; minterm ANDs reuse these literals.
-    inv_slots = [builder.emit(OP_NOT, s) for s in in_slots]
+    inv_slots = list(range(n_slots, n_slots + len(in_slots)))
+    n_slots += len(in_slots)
+    ops.extend((OP_NOT, s, 0, 0, inv) for s, inv in zip(in_slots, inv_slots))
     minterms: List[List[int]] = [[] for _ in range(cell.n_outputs)]
     for assignment in range(1 << n):
         bits = tuple((assignment >> i) & 1 for i in range(n))
@@ -274,10 +274,10 @@ def _lower_truth_table(
                 minterms[j].append(assignment)
     for j, terms in enumerate(minterms):
         if not terms:
-            builder.emit(OP_BUF, SLOT_ZERO, dst=out_slots[j])
+            ops.append((OP_BUF, SLOT_ZERO, 0, 0, out_slots[j]))
             continue
         if len(terms) == 1 << n:
-            builder.emit(OP_BUF, SLOT_ONE, dst=out_slots[j])
+            ops.append((OP_BUF, SLOT_ONE, 0, 0, out_slots[j]))
             continue
         term_slots: List[int] = []
         for assignment in terms:
@@ -287,15 +287,158 @@ def _lower_truth_table(
             ]
             acc = literals[0]
             for lit in literals[1:]:
-                acc = builder.emit(OP_AND2, acc, lit)
+                ops.append((OP_AND2, acc, lit, 0, n_slots))
+                acc = n_slots
+                n_slots += 1
             term_slots.append(acc)
         acc = term_slots[0]
         for term in term_slots[1:-1]:
-            acc = builder.emit(OP_OR2, acc, term)
+            ops.append((OP_OR2, acc, term, 0, n_slots))
+            acc = n_slots
+            n_slots += 1
         if len(term_slots) > 1:
-            builder.emit(OP_OR2, acc, term_slots[-1], dst=out_slots[j])
+            ops.append((OP_OR2, acc, term_slots[-1], 0, out_slots[j]))
         else:
-            builder.emit(OP_BUF, acc, dst=out_slots[j])
+            ops.append((OP_BUF, acc, 0, 0, out_slots[j]))
+    return n_slots
+
+
+# How a cell's gates lower (see :func:`_lowering_kind`): an ``OP_*`` opcode
+# (>= 0) for a one-op cell, or one of these.
+_SKIP = -1  # a flip-flop of a clocked netlist: its Q net is a cone input
+_HA = -2
+_FA = -3
+_TRUTH_TABLE = -4
+
+
+def _lowering_kind(cell) -> int:
+    """How gates of ``cell`` lower: a direct opcode, ``_HA``, ``_FA`` or the truth table.
+
+    A cell whose declared function differs from the canonical meaning of its
+    name (:func:`cell_matches_canonical`) lowers through its truth table.
+    """
+    if not cell_matches_canonical(cell):
+        return _TRUTH_TABLE
+    opcode = _DIRECT_LOWERING.get(cell.name)
+    if opcode is not None:
+        return opcode
+    return {"HA": _HA, "FA": _FA}.get(cell.name, _TRUTH_TABLE)
+
+
+def lower_gates(
+    name: str,
+    inputs: Sequence[str],
+    gates: Iterable[GateInstance],
+    outputs: Sequence[str],
+    library: CellLibrary,
+    clocked: bool = False,
+) -> CompiledProgram:
+    """Lower gates to a :class:`CompiledProgram` in one walk: the one lowerer.
+
+    Slots 0 and 1 hold the constants and ``inputs`` take the next ones in
+    order; then each gate, in list order, takes one slot per output net
+    followed by whatever scratch slots its lowering needs, and its ops are
+    appended as ``(opcode, a, b, c, dst)`` tuples.  The numpy arrays are
+    built once from that list, which the program keeps as ``ops``.
+
+    With ``clocked=True`` sequential cells are skipped: the caller lists
+    their Q nets among ``inputs`` (see
+    :func:`repro.perf.seqsim.compile_sequential`).  Otherwise a flip-flop
+    lowers as the library's transparent buffer model, and an unbound one
+    raises.  A gate reading a net with no earlier driver raises
+    ``ValueError``: the gates hold a combinational loop, or a clocked
+    netlist is being compiled as a combinational one.
+    """
+    ops: List[OpTuple] = []
+    append = ops.append
+    net_slots: Dict[str, int] = {
+        GateNetlist.CONST_ZERO: SLOT_ZERO,
+        GateNetlist.CONST_ONE: SLOT_ONE,
+    }
+    slot_of = net_slots.__getitem__
+    n_slots = 2
+    for net in inputs:
+        net_slots[net] = n_slots
+        n_slots += 1
+
+    # Cell name -> how its gates lower, decided at the cell's first gate.
+    kinds: Dict[str, int] = {}
+    for gate in gates:
+        kind = kinds.get(gate.cell)
+        if kind == _SKIP:
+            continue
+        if kind is None:
+            cell = library[gate.cell]
+            if clocked and cell.is_sequential:
+                kinds[gate.cell] = _SKIP
+                continue
+            if cell.function is None:
+                raise NotImplementedError(f"cell {cell.name} has no simulation model")
+        try:
+            in_slots = list(map(slot_of, gate.inputs))
+        except KeyError:
+            in_slots = None
+        if in_slots is None or (not gate.inputs and library[gate.cell].is_sequential):
+            # A pin driven only later in the gate list (or an unbound DFF)
+            # means the netlist has sequential feedback: it cannot be lowered
+            # as a combinational cone.
+            missing = [pin for pin in gate.inputs if pin not in net_slots]
+            raise ValueError(
+                f"gate {gate.name!r} of {name!r} reads nets with no "
+                f"combinational driver yet ({missing or 'unbound flip-flop'}); "
+                "clocked netlists must be compiled with "
+                "repro.perf.seqsim.compile_sequential"
+            )
+        out_slots = range(n_slots, n_slots + len(gate.outputs))
+        for net, slot in zip(gate.outputs, out_slots):
+            net_slots[net] = slot
+        n_slots = out_slots.stop
+
+        if kind is None:
+            kind = kinds[gate.cell] = _lowering_kind(cell)
+        if kind >= 0:
+            n_in = len(in_slots)
+            append((
+                kind,
+                in_slots[0],
+                in_slots[1] if n_in > 1 else 0,
+                in_slots[2] if n_in > 2 else 0,
+                out_slots[0],
+            ))
+        elif kind == _FA:
+            a, b, cin = in_slots
+            axb, ab, c_axb = n_slots, n_slots + 1, n_slots + 2
+            n_slots += 3
+            append((OP_XOR2, a, b, 0, axb))
+            append((OP_XOR2, axb, cin, 0, out_slots[0]))
+            append((OP_AND2, a, b, 0, ab))
+            append((OP_AND2, cin, axb, 0, c_axb))
+            append((OP_OR2, ab, c_axb, 0, out_slots[1]))
+        elif kind == _HA:
+            a, b = in_slots[0], in_slots[1]
+            append((OP_XOR2, a, b, 0, out_slots[0]))
+            append((OP_AND2, a, b, 0, out_slots[1]))
+        else:
+            n_slots = _lower_truth_table(
+                ops, n_slots, library[gate.cell], in_slots, out_slots
+            )
+
+    table = np.fromiter(
+        itertools.chain.from_iterable(ops), dtype=np.int32, count=5 * len(ops)
+    ).reshape(-1, 5)
+    return CompiledProgram(
+        name=name,
+        n_slots=n_slots,
+        opcodes=table[:, 0].astype(np.int16),
+        operands=np.ascontiguousarray(table[:, 1:4]),
+        dsts=np.ascontiguousarray(table[:, 4]),
+        input_names=list(inputs),
+        input_slots=np.asarray([net_slots[n] for n in inputs], dtype=np.int32),
+        output_names=list(outputs),
+        output_slots=np.asarray([net_slots[n] for n in outputs], dtype=np.int32),
+        net_slots=net_slots,
+        ops=ops,
+    )
 
 
 def compile_netlist(
@@ -317,7 +460,8 @@ def compile_netlist(
     outputs from fewer ops, but internal nets folded away by the passes no
     longer appear in ``net_slots``.  The default (``0``) compiles the raw
     netlist verbatim and remains the oracle the optimized path is checked
-    against.
+    against.  Either way the gates are lowered by :func:`lower_gates`, the
+    lowerer :func:`repro.perf.seqsim.compile_sequential` shares.
 
     Example::
 
@@ -346,74 +490,8 @@ def compile_netlist(
 
         source = optimize(netlist, level=opt_level, library=library).netlist
 
-    builder = _ProgramBuilder()
-    net_slots: Dict[str, int] = {
-        GateNetlist.CONST_ZERO: SLOT_ZERO,
-        GateNetlist.CONST_ONE: SLOT_ONE,
-    }
-    for net in source.inputs:
-        net_slots[net] = builder.new_slot()
-
-    canonical_cells: Dict[str, bool] = {}
-    for gate in source.gates:
-        cell = library[gate.cell]
-        if cell.function is None:
-            raise NotImplementedError(f"cell {cell.name} has no simulation model")
-        missing = [pin for pin in gate.inputs if pin not in net_slots]
-        if missing or (cell.is_sequential and not gate.inputs):
-            # A pin driven only later in the gate list (or an unbound DFF)
-            # means the netlist has sequential feedback: it cannot be lowered
-            # as a combinational cone.
-            raise ValueError(
-                f"gate {gate.name!r} of {netlist.name!r} reads nets with no "
-                f"combinational driver yet ({missing or 'unbound flip-flop'}); "
-                "clocked netlists must be compiled with "
-                "repro.perf.seqsim.compile_sequential"
-            )
-        in_slots = [net_slots[pin] for pin in gate.inputs]
-        out_slots = [builder.new_slot() for _ in gate.outputs]
-        for net, slot in zip(gate.outputs, out_slots):
-            net_slots[net] = slot
-
-        if gate.cell not in canonical_cells:
-            canonical_cells[gate.cell] = cell_matches_canonical(cell)
-        if not canonical_cells[gate.cell]:
-            _lower_truth_table(builder, cell, in_slots, out_slots)
-            continue
-        opcode = _DIRECT_LOWERING.get(gate.cell)
-        if opcode is not None:
-            a = in_slots[0]
-            b = in_slots[1] if len(in_slots) > 1 else 0
-            c = in_slots[2] if len(in_slots) > 2 else 0
-            builder.emit(opcode, a, b, c, dst=out_slots[0])
-        elif gate.cell == "HA":
-            builder.emit(OP_XOR2, in_slots[0], in_slots[1], dst=out_slots[0])
-            builder.emit(OP_AND2, in_slots[0], in_slots[1], dst=out_slots[1])
-        elif gate.cell == "FA":
-            a, b, cin = in_slots
-            axb = builder.emit(OP_XOR2, a, b)
-            builder.emit(OP_XOR2, axb, cin, dst=out_slots[0])
-            ab = builder.emit(OP_AND2, a, b)
-            c_axb = builder.emit(OP_AND2, cin, axb)
-            builder.emit(OP_OR2, ab, c_axb, dst=out_slots[1])
-        else:
-            _lower_truth_table(builder, cell, in_slots, out_slots)
-
-    program = CompiledProgram(
-        name=source.name,
-        n_slots=builder.n_slots,
-        opcodes=np.asarray(builder.opcodes, dtype=np.int16),
-        operands=np.asarray(builder.operands, dtype=np.int32).reshape(-1, 3),
-        dsts=np.asarray(builder.dsts, dtype=np.int32),
-        input_names=list(source.inputs),
-        input_slots=np.asarray(
-            [net_slots[n] for n in source.inputs], dtype=np.int32
-        ),
-        output_names=list(source.outputs),
-        output_slots=np.asarray(
-            [net_slots[n] for n in source.outputs], dtype=np.int32
-        ),
-        net_slots=net_slots,
+    program = lower_gates(
+        source.name, source.inputs, source.gates, source.outputs, library
     )
     # Programs compiled for older structures can never be served again (the
     # version only moves forward), so evict them: the cache holds one entry

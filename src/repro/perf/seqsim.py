@@ -8,15 +8,18 @@ with real D flip-flops (built through the
 :meth:`~repro.hw.netlist.GateNetlist.bind_dff` feedback API):
 
 1. **Register-boundary split** — :func:`compile_sequential` cuts the gate
-   graph at the flip-flops: every Q output becomes an extra primary input of
-   a purely combinational *cone netlist*, every D input an extra primary
-   output.  The cone is compiled by the existing combinational compiler —
-   including its ``opt_level`` path, so the :mod:`repro.hw.opt` passes
-   optimize exactly the combinational regions between register barriers.
+   graph at the flip-flops into one purely combinational *cone* program:
+   every Q output becomes an extra input, every D input an extra output.
+   At ``opt_level=0`` the shared lowerer
+   (:func:`~repro.perf.compile.lower_gates`) builds that program in one
+   walk over the clocked netlist's gates, skipping the flip-flops; at
+   ``opt_level > 0`` the logic is first copied into a cone netlist, so the
+   :mod:`repro.hw.opt` passes optimize exactly the combinational regions
+   between register barriers.
 2. **Stateful evaluation** — :class:`SequentialEvaluator` keeps one packed
    ``uint64`` word row per flip-flop and clocks all 64 vectors per word
-   through ``N`` cycles: each cycle is one run of the cone program (one
-   numpy kernel per op) followed by a vectorized state update
+   through ``N`` cycles: each cycle is one call of the cone's engine for
+   the output and next-state slots, followed by a vectorized state update
    ``Q <- D``.  Power-on values come from
    :attr:`~repro.hw.netlist.GateNetlist.dff_init` (overridable per run,
    even per vector).
@@ -51,7 +54,7 @@ from repro.hw.cells import CellLibrary
 from repro.hw.netlist import GateNetlist
 from repro.hw.pdk import EGFET_PDK
 from repro.perf.bitsim import pack_vectors, unpack_vectors
-from repro.perf.compile import CompiledProgram, compile_netlist
+from repro.perf.compile import CompiledProgram, compile_netlist, lower_gates
 from repro.perf import engines
 from repro.perf.engines import resolve_engine
 
@@ -112,15 +115,13 @@ class SequentialProgram:
         return len(self.output_names)
 
 
-def _build_cone(
+def _split_registers(
     netlist: GateNetlist, library: CellLibrary
-) -> "tuple[GateNetlist, list, list, list]":
-    """Split a clocked netlist at its registers into a combinational cone.
+) -> "tuple[list, list, list]":
+    """The flip-flops of a clocked netlist: ``(state_names, q_nets, d_nets)``.
 
-    Returns ``(cone, state_names, q_nets, d_nets)``.  The cone's inputs are
-    the primary inputs plus every Q net; its outputs the primary outputs
-    plus every internally-driven D net (so the D slots survive the
-    optimization passes, which preserve primary ports by name).
+    In declaration order.  Raises if a flip-flop is unbound or is not a
+    1-bit D flip-flop.
     """
     sequential = netlist.sequential_gates(library)
     unbound = [g.name for g in sequential if not g.inputs]
@@ -129,37 +130,60 @@ def _build_cone(
             f"netlist {netlist.name!r} has unbound flip-flops {unbound}; "
             "call bind_dff before simulating"
         )
-    cone = GateNetlist(name=f"{netlist.name}__cone")
-    for net in netlist.inputs:
-        cone.add_input(net)
-    q_nets: List[str] = []
-    d_nets: List[str] = []
-    state_names: List[str] = []
     for gate in sequential:
         if len(gate.inputs) != 1 or len(gate.outputs) != 1:
             raise NotImplementedError(
                 f"sequential cell {gate.cell!r} with {len(gate.inputs)} inputs "
                 "is not supported; only 1-bit D flip-flops clock state"
             )
-        state_names.append(gate.name)
-        q_nets.append(cone.add_input(gate.outputs[0]))
-        d_nets.append(gate.inputs[0])
-    sequential_ids = {id(g) for g in sequential}
-    for gate in netlist.gates:
-        if id(gate) in sequential_ids:
-            continue
-        cone.add_gate(gate.cell, gate.inputs, outputs=gate.outputs, name=gate.name)
-    for net in netlist.outputs:
-        cone.mark_output(net)
-    # D nets fed by combinational logic must be observable cone outputs so
-    # the optimizer cannot fold them away; constants, primary inputs and Q
-    # nets always keep a slot of their own.
+    return (
+        [g.name for g in sequential],
+        [g.outputs[0] for g in sequential],
+        [g.inputs[0] for g in sequential],
+    )
+
+
+def _cone_outputs(
+    netlist: GateNetlist, q_nets: List[str], d_nets: List[str]
+) -> List[str]:
+    """The cone's outputs: the primary outputs, then every D net fed by logic.
+
+    D nets fed by combinational logic must be observable cone outputs so
+    the optimizer cannot fold them away; constants, primary inputs and Q
+    nets always keep a slot of their own.
+    """
+    outputs = list(dict.fromkeys(netlist.outputs))
+    own_slot = {GateNetlist.CONST_ZERO, GateNetlist.CONST_ONE}
+    own_slot.update(netlist.inputs, q_nets, outputs)
     for d in d_nets:
-        if d in (GateNetlist.CONST_ZERO, GateNetlist.CONST_ONE):
-            continue
-        if d in cone.inputs or d in cone.outputs:
-            continue
-        cone.mark_output(d)
+        if d not in own_slot:
+            outputs.append(d)
+            own_slot.add(d)
+    return outputs
+
+
+def _build_cone(
+    netlist: GateNetlist, library: CellLibrary
+) -> "tuple[GateNetlist, list, list, list]":
+    """Copy a clocked netlist's logic into a combinational cone netlist.
+
+    Returns ``(cone, state_names, q_nets, d_nets)``.  The cone's inputs are
+    the primary inputs plus every Q net; its outputs the primary outputs
+    plus every internally-driven D net (so the D slots survive the
+    optimization passes, which preserve primary ports by name).  Only
+    ``opt_level > 0`` builds it, as the optimizer's input: at level 0
+    :func:`compile_sequential` lowers the same cone straight from the
+    clocked netlist.
+    """
+    state_names, q_nets, d_nets = _split_registers(netlist, library)
+    cone = GateNetlist(name=f"{netlist.name}__cone")
+    for net in [*netlist.inputs, *q_nets]:
+        cone.add_input(net)
+    for gate in netlist.gates:
+        if not library[gate.cell].is_sequential:
+            cone.add_gate(gate.cell, gate.inputs, outputs=gate.outputs, name=gate.name)
+    for net in _cone_outputs(netlist, q_nets, d_nets):
+        cone.mark_output(net)
     return cone, state_names, q_nets, d_nets
 
 
@@ -173,9 +197,16 @@ def compile_sequential(
     The cache lives on the netlist instance, keyed like the combinational
     compile cache (library identity, structural signature, ``opt_level``),
     so growing the netlist, binding a flip-flop or announcing an in-place
-    rewrite recompiles automatically.  ``opt_level > 0`` runs the
-    :mod:`repro.hw.opt` pass pipeline over the combinational cone between
-    the register barriers (the registers themselves are never touched).
+    rewrite recompiles automatically.
+
+    At ``opt_level=0`` the netlist is lowered in one walk over its gates
+    (:func:`~repro.perf.compile.lower_gates` with ``clocked=True``):
+    flip-flops are skipped and their Q nets take the input slots right after
+    the primary inputs, so no cone netlist is built.  ``opt_level > 0``
+    copies the logic into a cone netlist (:func:`_build_cone`) and runs the
+    :mod:`repro.hw.opt` pass pipeline over it, the combinational regions
+    between the register barriers (the registers themselves are never
+    touched).  Both give the program the name ``<netlist>__cone``.
 
     Example::
 
@@ -193,8 +224,19 @@ def compile_sequential(
     if cached is not None and cached[0] is library:
         return cached[1]
 
-    cone, state_names, q_nets, d_nets = _build_cone(netlist, library)
-    program = compile_netlist(cone, library, opt_level=opt_level)
+    if opt_level > 0:
+        cone, state_names, q_nets, d_nets = _build_cone(netlist, library)
+        program = compile_netlist(cone, library, opt_level=opt_level)
+    else:
+        state_names, q_nets, d_nets = _split_registers(netlist, library)
+        program = lower_gates(
+            f"{netlist.name}__cone",
+            [*netlist.inputs, *q_nets],
+            netlist.gates,
+            _cone_outputs(netlist, q_nets, d_nets),
+            library,
+            clocked=True,
+        )
     slots = program.net_slots
     seq = SequentialProgram(
         name=netlist.name,
@@ -311,6 +353,51 @@ class SequentialEvaluator:
             state = result[n_outputs:]
         return trace, state
 
+    def _clock(
+        self, input_bits: np.ndarray, cycles: Optional[int], init: InitSpec
+    ) -> "tuple[np.ndarray, np.ndarray, int]":
+        """Check and pack a run's inputs, then clock it.
+
+        Shared by :meth:`run` and :meth:`final_state`, so both accept and
+        reject the same inputs.  Returns ``(trace, final_state, n_vectors)``
+        in the packed layout of :meth:`run_packed`.
+        """
+        seq = self.seq
+        input_bits = np.asarray(input_bits)
+        if input_bits.ndim == 2:
+            if cycles is None:
+                raise ValueError("cycles is required when inputs are held constant")
+        elif input_bits.ndim == 3:
+            if cycles is None:
+                cycles = input_bits.shape[0]
+            if input_bits.shape[0] != cycles:
+                raise ValueError(
+                    f"input stream provides {input_bits.shape[0]} cycles, "
+                    f"but cycles={cycles} was requested"
+                )
+        else:
+            raise ValueError(
+                "input_bits must be (n_vectors, n_inputs) or "
+                f"(cycles, n_vectors, n_inputs), got shape {input_bits.shape}"
+            )
+        if cycles < 0:
+            raise ValueError("cycles must be >= 0")
+        if input_bits.shape[-1] != seq.n_inputs:
+            raise ValueError(
+                f"expected {seq.n_inputs} input columns, got {input_bits.shape}"
+            )
+        n_vectors = input_bits.shape[-2]
+        n_words = max((n_vectors + 63) // 64, 1)
+        if input_bits.ndim == 2:
+            packed, _ = pack_vectors(input_bits)
+        elif cycles:
+            packed = np.stack([pack_vectors(frame)[0] for frame in input_bits])
+        else:
+            packed = np.zeros((0, seq.n_inputs, n_words), dtype=np.uint64)
+        state = self._init_words(init, n_vectors, n_words)
+        trace, state = self.run_packed(packed, int(cycles), state)
+        return trace, state, n_vectors
+
     def run(
         self,
         input_bits: np.ndarray,
@@ -325,52 +412,12 @@ class SequentialEvaluator:
         ``cycles`` is mandatory for 2-D inputs and must match (or be omitted)
         for 3-D streams.  ``cycles=0`` returns an empty, well-shaped trace.
         """
-        seq = self.seq
-        input_bits = np.asarray(input_bits)
-        if input_bits.ndim == 2:
-            if cycles is None:
-                raise ValueError("cycles is required when inputs are held constant")
-            n_vectors = input_bits.shape[0]
-            if input_bits.shape[1] != seq.n_inputs:
-                raise ValueError(
-                    f"expected {seq.n_inputs} input columns, got {input_bits.shape}"
-                )
-            packed, _ = pack_vectors(input_bits)
-        elif input_bits.ndim == 3:
-            if cycles is None:
-                cycles = input_bits.shape[0]
-            if input_bits.shape[0] != cycles:
-                raise ValueError(
-                    f"input stream provides {input_bits.shape[0]} cycles, "
-                    f"but cycles={cycles} was requested"
-                )
-            n_vectors = input_bits.shape[1]
-            if input_bits.shape[2] != seq.n_inputs:
-                raise ValueError(
-                    f"expected {seq.n_inputs} input columns, got {input_bits.shape}"
-                )
-            per_cycle = [pack_vectors(input_bits[t])[0] for t in range(cycles)]
-            packed = (
-                np.stack(per_cycle)
-                if per_cycle
-                else np.zeros((0, seq.n_inputs, max((n_vectors + 63) // 64, 1)))
-            )
-        else:
-            raise ValueError(
-                "input_bits must be (n_vectors, n_inputs) or "
-                f"(cycles, n_vectors, n_inputs), got shape {input_bits.shape}"
-            )
-        if cycles < 0:
-            raise ValueError("cycles must be >= 0")
-        n_words = max((n_vectors + 63) // 64, 1)
-        state = self._init_words(init, n_vectors, n_words)
-        trace, _ = self.run_packed(packed, cycles, state)
-        if cycles == 0:
-            return np.zeros((0, n_vectors, seq.n_outputs), dtype=np.int64)
-        flat = trace.reshape(int(cycles) * seq.n_outputs, n_words)
+        trace, _, n_vectors = self._clock(input_bits, cycles, init)
+        cycles, n_outputs, n_words = trace.shape
+        flat = trace.reshape(cycles * n_outputs, n_words)
         bits = unpack_vectors(flat, n_vectors)  # (n_vectors, cycles*n_outputs)
         return (
-            bits.T.reshape(int(cycles), seq.n_outputs, n_vectors)
+            bits.T.reshape(cycles, n_outputs, n_vectors)
             .transpose(0, 2, 1)
             .astype(np.int64)
         )
@@ -383,23 +430,14 @@ class SequentialEvaluator:
     ) -> np.ndarray:
         """Flip-flop values after ``cycles`` clock edges: ``(n_vectors, n_state)``.
 
+        Takes the inputs :meth:`run` takes and checks them the same way.
+
         Example::
 
             state = evaluator.final_state(inputs, cycles=5)
             dict(zip(evaluator.seq.state_names, state[0]))
         """
-        seq = self.seq
-        input_bits = np.asarray(input_bits)
-        n_vectors = input_bits.shape[-2] if input_bits.ndim == 3 else input_bits.shape[0]
-        n_words = max((n_vectors + 63) // 64, 1)
-        if input_bits.ndim == 3:
-            packed = np.stack(
-                [pack_vectors(input_bits[t])[0] for t in range(int(cycles))]
-            ) if cycles else np.zeros((0, seq.n_inputs, n_words))
-        else:
-            packed, _ = pack_vectors(input_bits)
-        state = self._init_words(init, n_vectors, n_words)
-        _, state = self.run_packed(packed, cycles, state)
+        _, state, n_vectors = self._clock(input_bits, cycles, init)
         return unpack_vectors(state, n_vectors)
 
 

@@ -1,5 +1,8 @@
 """Tests for MUX storage, comparators, registers and counters."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from repro.hw.rtl.mux import (
     mux_tree,
     storage_table_bits,
 )
+from repro.hw.activity import storage_toggles
 from repro.hw.pdk import EGFET_PDK
 from repro.hw.rtl.registers import binary_counter, counter_bits, register_bank
 from repro.hw.simulate import simulate_combinational
@@ -106,6 +110,92 @@ class TestConstantMuxStorage:
         # generic MUX tree of the same geometry (plus a tiny folding margin —
         # the collapse trades some MUX2 cells for cheaper AND/OR/INV cells).
         assert bespoke.area_cm2(EGFET_PDK) <= 1.1 * generic.area_cm2(EGFET_PDK) + 0.01
+
+
+def _reference_column_cost(column) -> Counter:
+    """One column's cells, priced by summing per-half Counters (the oracle)."""
+
+    def reduce(bits):
+        n = len(bits)
+        if all(b == 0 for b in bits):
+            return "const0", Counter()
+        if all(b == 1 for b in bits):
+            return "const1", Counter()
+        if n == 2:
+            return "wire", Counter() if list(bits) == [0, 1] else Counter({"INV": 1})
+        half = 1 << (int(math.ceil(math.log2(n))) - 1)
+        lo_kind, lo_cells = reduce(bits[:half])
+        hi_kind, hi_cells = reduce(list(bits[half:]) + [0] * (2 * half - n))
+        cells = lo_cells + hi_cells
+        kinds = {lo_kind, hi_kind}
+        if kinds == {"const0"}:
+            return "const0", cells
+        if kinds == {"const1"}:
+            return "const1", cells
+        if kinds <= {"const0", "const1"}:
+            return "wire", cells + Counter({"INV": 1 if lo_kind == "const1" else 0})
+        if lo_kind == "const0":
+            return "logic", cells + Counter({"AND2": 1})
+        if hi_kind == "const0":
+            return "logic", cells + Counter({"AND2": 1, "INV": 1})
+        if lo_kind == "const1":
+            return "logic", cells + Counter({"OR2": 1, "INV": 1})
+        if hi_kind == "const1":
+            return "logic", cells + Counter({"OR2": 1})
+        return "logic", cells + Counter({"MUX2": 1})
+
+    return reduce([int(b) & 1 for b in column])[1]
+
+
+def _assert_priced_like_the_reference(table, bits_per_value):
+    """Every column priced on its own, in order: same cells, same key order."""
+    bit_matrix = storage_table_bits(table, bits_per_value)
+    counts = Counter()
+    for col in range(bit_matrix.shape[1]):
+        counts.update(_reference_column_cost(bit_matrix[:, col]))
+    block = constant_mux_storage(table, bits_per_value)
+    assert list(block.counts.items()) == list(counts.items())
+    assert list(block.toggles.items()) == list(storage_toggles(counts).items())
+    depth = math.ceil(math.log2(len(table))) if len(table) > 1 else 0
+    assert list(block.path.items()) == ([("MUX2", depth)] if depth else [])
+
+
+class TestMuxStoragePricing:
+    """Pricing each distinct column once gives the per-column block exactly."""
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n_words: st.lists(
+                st.integers(1, 5).flatmap(
+                    lambda width: st.tuples(
+                        st.just(width),
+                        st.lists(
+                            st.integers(-(1 << (width - 1)), (1 << (width - 1)) - 1),
+                            min_size=n_words,
+                            max_size=n_words,
+                        ),
+                    )
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_drawn_tables(self, columns):
+        bits_per_value = [width for width, _ in columns]
+        table = np.array([codes for _, codes in columns], dtype=np.int64).T
+        _assert_priced_like_the_reference(table, bits_per_value)
+
+    def test_fast_table1_designs(self):
+        from repro.core.design_flow import fast_config, run_flow
+        from repro.core.sequential_svm import SequentialSVMDesign
+
+        for dataset in ("cardio", "dermatology", "pendigits", "redwine", "whitewine"):
+            model = run_flow(dataset, "ours", fast_config()).design.model
+            storage = SequentialSVMDesign(model, storage_style="mux").storage
+            _assert_priced_like_the_reference(
+                storage.coefficients, storage.bits_per_value
+            )
 
 
 class TestComparators:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from repro.hw.simulate import (
     simulate_sequential_reference,
 )
 from repro.perf import engines
-from repro.perf.bitsim import words_to_ints, words_to_signed_ints
+from repro.perf.bitsim import (
+    BitParallelEvaluator,
+    op_tuples,
+    words_to_ints,
+    words_to_signed_ints,
+)
 from repro.perf.seqsim import (
     SequentialEvaluator,
     compile_sequential,
@@ -150,6 +157,120 @@ def test_evaluator_construction_goes_through_the_engines_module(monkeypatch):
     monkeypatch.setattr(engines, "make_evaluator", spy)
     SequentialEvaluator(compile_sequential(_shift_register()))
     assert len(calls) == 1
+
+
+class TestFinalStateInputs:
+    """``final_state`` checks its inputs exactly as ``run()`` does."""
+
+    def _evaluator(self):
+        return sequential_evaluator_for(_shift_register(2))  # 1 input, 2 flip-flops
+
+    def test_stream_longer_than_cycles_raises(self):
+        stream = np.zeros((5, 3, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="provides 5 cycles, but cycles=3"):
+            self._evaluator().final_state(stream, 3)
+
+    def test_stream_shorter_than_cycles_raises(self):
+        stream = np.zeros((2, 3, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="provides 2 cycles, but cycles=4"):
+            self._evaluator().final_state(stream, 4)
+
+    def test_wrong_column_count_names_the_primary_inputs(self):
+        with pytest.raises(ValueError, match=r"expected 1 input columns, got \(3, 2\)"):
+            self._evaluator().final_state(np.zeros((3, 2), dtype=np.int64), 2)
+
+    def test_negative_cycles_raise(self):
+        with pytest.raises(ValueError, match="cycles must be >= 0"):
+            self._evaluator().final_state(np.zeros((3, 1), dtype=np.int64), -1)
+
+    def test_matching_stream_gives_the_last_taps(self):
+        stream = np.array([[[1], [0]], [[0], [1]], [[1], [1]]])  # (3 cycles, 2, 1)
+        state = self._evaluator().final_state(stream, 3)
+        trace = self._evaluator().run(stream, cycles=3)
+        # After three edges ff0 holds the last input and ff1 the one before.
+        assert state.tolist() == [[1, 0], [1, 1]]
+        assert np.array_equal(state[:, 1], trace[-1][:, 0])
+
+    def test_netlist_without_flip_flops_has_an_empty_state(self):
+        n = GateNetlist("comb")
+        n.mark_output(n.add_gate("INV", [n.add_input("a")])[0])
+        state = sequential_evaluator_for(n).final_state(np.ones((3, 1)), 2)
+        assert state.shape == (3, 0)
+
+
+class TestOnePassLowering:
+    """At opt level 0 the clocked netlist is lowered directly, in one walk."""
+
+    @staticmethod
+    def _top():
+        weights, biases, _ = TestSequentialSVMTop._model()
+        return build_sequential_svm_netlist(weights, biases, input_bits=3)[0]
+
+    def test_opt0_compile_builds_no_netlist_and_adds_no_gate(self, monkeypatch):
+        top = self._top()
+        built, added = [], []
+        real_init, real_add = GateNetlist.__init__, GateNetlist.add_gate
+
+        def init_spy(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        def add_spy(self, *args, **kwargs):
+            added.append(1)
+            return real_add(self, *args, **kwargs)
+
+        monkeypatch.setattr(GateNetlist, "__init__", init_spy)
+        monkeypatch.setattr(GateNetlist, "add_gate", add_spy)
+        seq = compile_sequential(top, opt_level=0)
+        assert built == [] and added == []
+        assert seq.program.name == f"{top.name}__cone"
+        # The optimizer's input is still a cone netlist: the spies see it.
+        compile_sequential(top, opt_level=1)
+        assert built and added
+
+    def test_op_tuples_is_the_lowerers_list(self):
+        program = compile_sequential(self._top()).program
+
+        class NoReadBack(np.ndarray):
+            def tolist(self):
+                raise AssertionError("the op arrays were read back into tuples")
+
+        spied = dataclasses.replace(
+            program,
+            opcodes=program.opcodes.view(NoReadBack),
+            operands=program.operands.view(NoReadBack),
+            dsts=program.dsts.view(NoReadBack),
+        )
+        assert op_tuples(spied) is program.ops
+        BitParallelEvaluator(spied)  # builds its kernels from the same list
+        assert program.ops == list(
+            zip(
+                program.opcodes.tolist(),
+                *program.operands.T.tolist(),
+                program.dsts.tolist(),
+            )
+        )
+
+    def test_feedback_through_logic_raises(self):
+        n = GateNetlist("loop")
+        a = n.add_input("a")
+        n.add_gate("INV", [a], outputs=["x"], name="g0")
+        n.add_gate("BUF", ["x"], outputs=["y"], name="g1")
+        n.mark_output("y")
+        # Rewire g0 to read g1's output: a combinational loop no flip-flop cuts.
+        n.gates[0].inputs = ("y",)
+        n.note_structural_change()
+        with pytest.raises(ValueError, match="no combinational driver"):
+            compile_sequential(n)
+
+    def test_multi_bit_flip_flop_is_not_supported(self):
+        n = GateNetlist("wide")
+        q = n.declare_dff("q", name="ff")
+        n.bind_dff(q, n.add_input("d"))
+        n.gates[0].inputs = ("d", "d")
+        n.note_structural_change()
+        with pytest.raises(NotImplementedError, match="1-bit D flip-flops"):
+            compile_sequential(n)
 
 
 class TestStructuralInvalidation:
