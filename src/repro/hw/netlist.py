@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.hw.cells import CellLibrary
+from repro.hw.cells import CellLibrary, CellType
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +188,19 @@ class GateInstance:
     cell: str
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
+
+
+def output_count_error(gate: GateInstance, cell: CellType) -> ValueError:
+    """The error for a gate whose output-net count differs from its cell's.
+
+    Raised by every walk that evaluates gates (the compiler's lowerer and
+    the interpreted reference simulators) instead of indexing past the
+    gate's nets or dropping the cell's extra outputs.
+    """
+    return ValueError(
+        f"gate {gate.name!r} has {len(gate.outputs)} output nets but its cell "
+        f"{cell.name} has {cell.n_outputs} outputs"
+    )
 
 
 @dataclass

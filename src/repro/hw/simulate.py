@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.hw.cells import CellLibrary
-from repro.hw.netlist import GateNetlist
+from repro.hw.netlist import GateNetlist, output_count_error
 from repro.hw.pdk import EGFET_PDK
 
 
@@ -123,6 +123,8 @@ def simulate_combinational_reference(
 
     for gate in netlist.gates:
         cell = library[gate.cell]
+        if len(gate.outputs) != cell.n_outputs:
+            raise output_count_error(gate, cell)
         ins = tuple(values[pin] for pin in gate.inputs)
         outs = cell.evaluate(ins)
         for net, val in zip(gate.outputs, outs):
@@ -186,6 +188,8 @@ def simulate_sequential_reference(
             if id(gate) in sequential_ids:
                 continue
             cell = library[gate.cell]
+            if len(gate.outputs) != cell.n_outputs:
+                raise output_count_error(gate, cell)
             ins = tuple(values[pin] for pin in gate.inputs)
             outs = cell.evaluate(ins)
             for net, val in zip(gate.outputs, outs):

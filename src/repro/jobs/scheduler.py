@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.design_flow import FlowConfig, cached_flow_result
+from repro.core.design_flow import FlowConfig, cached_flow_result, load_training_kernels
 from repro.core.flow_executor import CacheSpec, resolve_cache
 from repro.jobs.manifest import JobManifest, JobRecord, JobSpec
 from repro.jobs.store import ResultStore, result_record
@@ -208,6 +208,8 @@ class JobScheduler:
         remaining = [r for r in pending if not self._finish_from_cache(r)]
         self._queue = deque(remaining)
         if self._queue:
+            # Forked workers inherit the loaded kernels: none compiles one.
+            load_training_kernels(record.spec.kind for record in self._queue)
             n_threads = min(self.workers, len(self._queue))
             threads = [
                 threading.Thread(

@@ -137,22 +137,22 @@ def _dual_cd_epoch_reference(
     return max_violation
 
 
+_EPOCH_ARGTYPES = (
+    [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+    + [ctypes.c_void_p] * 7
+)
+
+
 def _dual_cd_epoch_kernel() -> Optional[Callable[..., float]]:
     """The compiled epoch, or ``None`` where no C toolchain is found.
 
     Compiled on the first call in a process (or loaded from the disk cache)
-    and held by :func:`repro.toolchain.load_shared` after that.
+    and memoized by :func:`repro.toolchain.load_function` after that.
     """
-    found = toolchain.find_toolchain()
-    if found is None:
-        return None
-    fn = toolchain.load_shared(_EPOCH_SOURCE, _EPOCH_FLAGS, found).repro_dual_cd_epoch
-    fn.argtypes = (
-        [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-        + [ctypes.c_void_p] * 7
+    return toolchain.load_function(
+        _EPOCH_SOURCE, _EPOCH_FLAGS, "repro_dual_cd_epoch",
+        _EPOCH_ARGTYPES, ctypes.c_double,
     )
-    fn.restype = ctypes.c_double
-    return fn
 
 
 @dataclass

@@ -46,7 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hw.cells import CellLibrary
-from repro.hw.netlist import GateInstance, GateNetlist
+from repro.hw.netlist import GateInstance, GateNetlist, output_count_error
 from repro.hw.pdk import EGFET_PDK
 
 # --------------------------------------------------------------------------- #
@@ -361,19 +361,25 @@ def lower_gates(
         net_slots[net] = n_slots
         n_slots += 1
 
-    # Cell name -> how its gates lower, decided at the cell's first gate.
-    kinds: Dict[str, int] = {}
+    # Cell name -> (how its gates lower, its output count), decided at the
+    # cell's first gate.
+    cells: Dict[str, Tuple[int, int]] = {}
     for gate in gates:
-        kind = kinds.get(gate.cell)
-        if kind == _SKIP:
-            continue
-        if kind is None:
+        entry = cells.get(gate.cell)
+        if entry is None:
             cell = library[gate.cell]
             if clocked and cell.is_sequential:
-                kinds[gate.cell] = _SKIP
-                continue
-            if cell.function is None:
+                entry = (_SKIP, 0)
+            elif cell.function is None:
                 raise NotImplementedError(f"cell {cell.name} has no simulation model")
+            else:
+                entry = (_lowering_kind(cell), cell.n_outputs)
+            cells[gate.cell] = entry
+        kind, n_outputs = entry
+        if kind == _SKIP:
+            continue
+        if len(gate.outputs) != n_outputs:
+            raise output_count_error(gate, library[gate.cell])
         try:
             in_slots = list(map(slot_of, gate.inputs))
         except KeyError:
@@ -394,8 +400,6 @@ def lower_gates(
             net_slots[net] = slot
         n_slots = out_slots.stop
 
-        if kind is None:
-            kind = kinds[gate.cell] = _lowering_kind(cell)
         if kind >= 0:
             n_in = len(in_slots)
             append((

@@ -31,13 +31,14 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.design_flow import (
+    MODEL_KINDS,
     clear_flow_cache,
     fast_config,
+    load_training_kernels,
     training_run_count,
 )
 from repro.core.flow_executor import FlowResultCache
 from repro.eval.table1 import generate_table1, table1_aggregates
-from repro.ml.svm import _dual_cd_epoch_kernel
 
 
 from repro.core.paths import bench_output_path as _bench_output_path
@@ -80,10 +81,10 @@ def run_flow_benchmark(
     config = fast_config()
     n_jobs = jobs if jobs is not None else max(2, os.cpu_count() or 1)
     # One-time set-up outside every timer: the toolchain probe and the load
-    # (or compile) of the trainer's epoch kernel.  The forked shards inherit
-    # the loaded kernel, so charging it to the cold pass alone would inflate
-    # the sharded speedup in a fresh process.
-    _dual_cd_epoch_kernel()
+    # (or compile) of the trainers' epoch kernels.  The forked shards inherit
+    # the loaded kernels, so charging them to the cold pass alone would
+    # inflate the sharded speedup in a fresh process.
+    load_training_kernels(MODEL_KINDS)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cache = FlowResultCache(tmp)

@@ -1,10 +1,10 @@
 """The system C compiler and the cache of shared objects built with it.
 
 Two layers compile C at run time: the ``native`` simulation engine
-(:mod:`repro.perf.native`) and the SVM trainer's epoch kernel
-(:mod:`repro.ml.svm`).  They share this module, which depends on the
-standard library only, so the low ``ml`` layer can compile a kernel without
-importing ``perf``, which sits above it.
+(:mod:`repro.perf.native`) and the trainers' epoch kernels
+(:mod:`repro.ml.svm`, :mod:`repro.ml.mlp`).  They share this module, which
+depends on the standard library only, so the low ``ml`` layer can compile a
+kernel without importing ``perf``, which sits above it.
 
 * **probe** — :func:`find_toolchain` looks for a compiler once per process:
   ``$CC`` first, then ``cc``/``gcc``/``clang`` on ``PATH``.  With no
@@ -15,6 +15,9 @@ importing ``perf``, which sits above it.
   keyed by the SHA-256 of toolchain fingerprint + compiler flags + source.
   A new compiler, new flags or new source never loads a stale object, and a
   second process loads the ``.so`` without invoking the compiler.
+* **functions** — :func:`load_function` hands out one configured ctypes
+  function per (toolchain, source, flags, symbol), memoized per process, so
+  a trainer that looks its kernel up on every fit pays one dict probe.
 * **publish** — a build lands in a temporary directory and is moved into
   place with ``os.replace``, so processes racing on one key all succeed and
   none sees a half-written object.  A cached object the loader rejects
@@ -32,7 +35,7 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: Set to ``1``/``true``/``yes`` to pretend no toolchain exists — forces
 #: every pure-Python fallback (exercised by a CI matrix leg).
@@ -215,3 +218,40 @@ def load_shared(
             lib = ctypes.CDLL(str(so_path))
         _SO_CACHE[digest] = lib
         return lib
+
+
+# (toolchain, flags, symbol, source) -> the configured ctypes function.
+_FUNCTION_CACHE: Dict[tuple, Callable[..., object]] = {}
+
+
+def load_function(
+    source: str,
+    flags: Sequence[str],
+    symbol: str,
+    argtypes: Sequence[type],
+    restype: type,
+) -> Optional[Callable[..., object]]:
+    """The C function ``symbol`` of ``source``, or ``None`` with no toolchain.
+
+    The first call for a key loads the object (:func:`load_shared`) and sets
+    the function's ``argtypes`` and ``restype``; later calls are one dict
+    probe, keyed on the probed :class:`Toolchain`, so ``REPRO_NO_NATIVE`` and
+    ``find_toolchain(refresh=True)`` still decide which path runs.
+
+    Example::
+
+        one = load_function("int one(void) { return 1; }", ("-O2",), "one",
+                            (), ctypes.c_int)
+        one() if one is not None else 1        # 1
+    """
+    found = find_toolchain()
+    if found is None:
+        return None
+    key = (found, tuple(flags), symbol, source)
+    fn = _FUNCTION_CACHE.get(key)
+    if fn is None:
+        fn = getattr(load_shared(source, flags, found), symbol)
+        fn.argtypes = list(argtypes)
+        fn.restype = restype
+        _FUNCTION_CACHE[key] = fn
+    return fn

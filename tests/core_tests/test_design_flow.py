@@ -1,8 +1,11 @@
 """Tests for the end-to-end design flow (train -> quantize -> generate -> report)."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
+from repro.core import design_flow
 from repro.core.design_flow import (
     FlowConfig,
     MODEL_KINDS,
@@ -15,6 +18,7 @@ from repro.core.design_flow import (
     run_parallel_mlp_flow,
     run_parallel_svm_flow,
     run_sequential_svm_flow,
+    training_run_count,
 )
 
 
@@ -110,6 +114,60 @@ class TestIndividualFlows:
         b = run_sequential_svm_flow("redwine", tiny_flow_config)
         assert a is not b
         assert a.report.area_cm2 == pytest.approx(b.report.area_cm2)
+
+
+class TestSharedBaselineFit:
+    """The exact [2] and approximate [3] rows differ only in the design
+    style, so a dataset's two parallel SVM baselines share one fit."""
+
+    @staticmethod
+    def _row(result):
+        return (
+            asdict(result.report),
+            result.float_accuracy_percent,
+            result.weight_bits_used,
+            result.design.model.weight_codes.tobytes(),
+            result.design.model.bias_codes.tobytes(),
+        )
+
+    def test_both_baselines_train_once(self, tiny_flow_config):
+        clear_flow_cache()
+        before = training_run_count()
+        exact = run_parallel_svm_flow("cardio", approximate=False, config=tiny_flow_config)
+        approx = run_parallel_svm_flow("cardio", approximate=True, config=tiny_flow_config)
+        assert training_run_count() == before + 1
+        assert exact.float_accuracy_percent == approx.float_accuracy_percent
+
+    def test_shared_fit_reports_equal_separate_fits(self, tiny_flow_config):
+        clear_flow_cache()
+        shared = [
+            run_parallel_svm_flow("cardio", approximate=a, config=tiny_flow_config)
+            for a in (False, True)
+        ]
+        separate = []
+        for approximate in (False, True):
+            clear_flow_cache()
+            separate.append(
+                run_parallel_svm_flow("cardio", approximate=approximate, config=tiny_flow_config)
+            )
+        assert [self._row(r) for r in shared] == [self._row(r) for r in separate]
+
+    def test_clear_flow_cache_drops_the_shared_fit(self, tiny_flow_config):
+        clear_flow_cache()
+        run_parallel_svm_flow("cardio", approximate=False, config=tiny_flow_config)
+        assert len(design_flow._BASELINE_FIT_CACHE) == 1
+        clear_flow_cache()
+        assert len(design_flow._BASELINE_FIT_CACHE) == 0
+        before = training_run_count()
+        run_parallel_svm_flow("cardio", approximate=True, config=tiny_flow_config)
+        assert training_run_count() == before + 1
+
+    def test_configs_do_not_share_a_fit(self, tiny_flow_config):
+        clear_flow_cache()
+        before = training_run_count()
+        run_parallel_svm_flow("cardio", config=tiny_flow_config)
+        run_parallel_svm_flow("cardio", config=replace(tiny_flow_config, svm_c=0.5))
+        assert training_run_count() == before + 2
 
 
 class TestDatasetComparison:

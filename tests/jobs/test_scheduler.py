@@ -7,9 +7,12 @@ outcome (the job still completes, or fails for the right reason) and that
 the fault actually fired (``plan.fired``).
 """
 
+import os
+
 import pytest
 from jobs.chaos import ChaosPlan
 
+import repro.toolchain as toolchain_mod
 from repro.core.design_flow import FlowConfig, clear_flow_cache, run_flow
 from repro.jobs import (
     DONE,
@@ -238,3 +241,34 @@ class TestEndToEnd:
         summary2 = _scheduler(manifest, store, workers=2).run()
         assert summary2.completed == 0
         assert store.canonical_bytes() == first_bytes
+
+
+@pytest.mark.skipif(
+    not toolchain_mod.native_available(), reason="no C toolchain on this host"
+)
+def test_workers_inherit_loaded_training_kernels(
+    run_dir, tiny_flow_config, monkeypatch
+):
+    """With an empty kernel cache, the scheduler loads the SVM and MLP epoch
+    kernels before it forks: only its own process invokes the compiler."""
+    clear_flow_cache()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(run_dir / "cache"))
+    monkeypatch.setattr(toolchain_mod, "_SO_CACHE", {})
+    monkeypatch.setattr(toolchain_mod, "_FUNCTION_CACHE", {})
+    log = run_dir / "compiler-pids"
+    real = toolchain_mod._invoke_compiler
+
+    def logged(*args):
+        # Forked workers inherit this wrapper; a file sees all processes.
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(toolchain_mod, "_invoke_compiler", logged)
+    manifest, store = _pair(run_dir)
+    with manifest, store:
+        submit_grid(manifest, ["redwine", "cardio"], ["ours", "mlp_parallel"],
+                    tiny_flow_config)
+        summary = _scheduler(manifest, store, workers=2).run()
+    assert summary.trained == 4 and summary.failed == 0
+    assert log.read_text().split() == [str(os.getpid())] * 2

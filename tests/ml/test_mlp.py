@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.ml.mlp import MLPClassifier, one_hot, relu, relu_grad, softmax
+from repro.ml.mlp import MLPClassifier, relu, softmax
 
 
 class TestActivations:
     def test_relu(self):
         x = np.array([-2.0, 0.0, 3.0])
         assert np.array_equal(relu(x), np.array([0.0, 0.0, 3.0]))
-
-    def test_relu_grad(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        assert np.array_equal(relu_grad(x), np.array([0.0, 0.0, 1.0]))
 
     def test_softmax_rows_sum_to_one(self, rng):
         z = rng.normal(size=(10, 5)) * 10
@@ -26,14 +22,6 @@ class TestActivations:
         p = softmax(z)
         assert np.all(np.isfinite(p))
         assert p[0, 1] == p.max()
-
-    def test_one_hot(self):
-        out = one_hot(np.array([0, 2, 1]), 3)
-        assert np.array_equal(out, np.eye(3)[[0, 2, 1]])
-
-    def test_one_hot_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            one_hot(np.array([3]), 3)
 
 
 class TestMLPTraining:

@@ -72,9 +72,11 @@ def _run_fit_script(**env) -> subprocess.CompletedProcess:
 
 @pytest.fixture()
 def fresh_caches(tmp_path, monkeypatch):
-    """An empty disk cache in tmp_path and a cold in-memory object cache."""
+    """An empty disk cache in tmp_path and cold in-memory object and
+    function caches."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(toolchain_mod, "_SO_CACHE", {})
+    monkeypatch.setattr(toolchain_mod, "_FUNCTION_CACHE", {})
     return tmp_path
 
 
@@ -104,7 +106,8 @@ def training_problems(draw):
 
 @requires_toolchain
 @given(training_problems())
-@settings(max_examples=150, deadline=None)
+# 150 examples under the default profile, ten times that under ``ci``.
+@settings(max_examples=15 * settings.default.max_examples, deadline=None)
 def test_kernel_is_bit_identical_to_the_reference(problem):
     X, y, weights, params = problem
     assert svm._dual_cd_epoch_kernel() is not None
@@ -162,3 +165,28 @@ def test_warm_disk_cache_needs_no_compiler(fresh_caches):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "compiled"
 
+
+
+@requires_toolchain
+def test_kernel_lookup_is_memoized_per_toolchain(monkeypatch):
+    """After the first lookup, fetching the kernel neither hashes the source
+    nor rebuilds its path; REPRO_NO_NATIVE with a re-probe still selects
+    the reference."""
+    first = svm._dual_cd_epoch_kernel()
+    paths = []
+    real_path = toolchain_mod.kernel_path
+    monkeypatch.setattr(
+        toolchain_mod, "kernel_path", lambda *a: (paths.append(a), real_path(*a))[1]
+    )
+    assert svm._dual_cd_epoch_kernel() is first
+    assert paths == []
+    try:
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        toolchain_mod.find_toolchain(refresh=True)
+        assert svm._dual_cd_epoch_kernel() is None
+        monkeypatch.delenv("REPRO_NO_NATIVE")
+        toolchain_mod.find_toolchain(refresh=True)
+        assert svm._dual_cd_epoch_kernel() is first
+    finally:
+        monkeypatch.undo()
+        toolchain_mod.find_toolchain(refresh=True)

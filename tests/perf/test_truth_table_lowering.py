@@ -157,3 +157,65 @@ class TestCustomCellLowering:
         result = optimize(n, level=2, library=library)
         assert result.netlist.cell_counts() == {"OR2": 1}
         assert check_equivalence(n, result.netlist, library=library)
+
+
+class TestGateOutputCount:
+    """A gate whose output-net count differs from its cell's is rejected by
+    the lowerer and by both reference walks, naming the gate, the cell and
+    both counts."""
+
+    MESSAGE = r"gate 'u0' has {got} output nets but its cell {cell} has {want} outputs"
+
+    @staticmethod
+    def _parand3_without_outputs():
+        # add_gate gives a custom cell one output net unless told otherwise.
+        n = GateNetlist("short_parand3")
+        a, b, c = (n.add_input(x) for x in "abc")
+        (out,) = n.add_gate("PARAND3", [a, b, c])
+        n.mark_output(out)
+        return n
+
+    @staticmethod
+    def _and2_with_two_outputs():
+        n = GateNetlist("wide_and2")
+        a, b = (n.add_input(x) for x in "ab")
+        n.add_gate("AND2", [a, b], outputs=["y", "ghost"])
+        n.mark_output("y")
+        n.mark_output("ghost")
+        return n
+
+    def test_short_multi_output_gate_fails_to_compile(self):
+        message = self.MESSAGE.format(got=1, cell="PARAND3", want=2)
+        with pytest.raises(ValueError, match=message):
+            compile_netlist(self._parand3_without_outputs(), custom_library())
+
+    def test_extra_output_net_fails_to_compile(self):
+        message = self.MESSAGE.format(got=2, cell="AND2", want=1)
+        with pytest.raises(ValueError, match=message):
+            compile_netlist(self._and2_with_two_outputs(), custom_library())
+
+    def test_reference_walk_raises_the_same_error(self):
+        library = custom_library()
+        for netlist, message in (
+            (self._parand3_without_outputs(), self.MESSAGE.format(got=1, cell="PARAND3", want=2)),
+            (self._and2_with_two_outputs(), self.MESSAGE.format(got=2, cell="AND2", want=1)),
+        ):
+            values = {net: 1 for net in netlist.inputs}
+            with pytest.raises(ValueError, match=message):
+                simulate_combinational_reference(netlist, values, library)
+
+    def test_clocked_netlists_are_checked_too(self):
+        from repro.hw.simulate import simulate_sequential_reference
+        from repro.perf.seqsim import compile_sequential
+
+        n = GateNetlist("clocked_wide_and2")
+        a = n.add_input("a")
+        q = n.declare_dff("q", name="ff")
+        n.add_gate("AND2", [a, q], outputs=["d", "ghost"], name="u0")
+        n.bind_dff(q, "d")
+        n.mark_output("d")
+        message = self.MESSAGE.format(got=2, cell="AND2", want=1)
+        with pytest.raises(ValueError, match=message):
+            compile_sequential(n)
+        with pytest.raises(ValueError, match=message):
+            simulate_sequential_reference(n, {"a": 1}, cycles=2)
