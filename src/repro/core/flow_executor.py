@@ -43,6 +43,7 @@ from repro.core.design_flow import (
     FlowConfig,
     FlowResult,
     cached_flow_result,
+    load_training_kernels,
     run_flow,
     warm_flow_cache,
 )
@@ -372,6 +373,8 @@ def execute_flow_grid(
     if pending:
         if n_jobs > 1 and len(pending) > 1:
             tasks = [(dataset, kind, config) for dataset, kind in pending]
+            # Forked workers inherit the loaded kernels: none compiles one.
+            load_training_kernels(kind for _, kind in pending)
             with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
                 # pool.map preserves task order, so the merge is deterministic
                 # no matter which worker finishes first.

@@ -265,7 +265,7 @@ class SequentialSVMDesign:
         Every sample's quantized codes are held on the input pins for
         ``n_classifiers`` cycles through the bit-parallel sequential engine;
         the prediction is the best-class register's load value during the
-        final cycle.  ``opt_level > 0`` simulates the pass-optimized
+        final cycle.  ``opt_level > 0`` simulates the optimized
         combinational regions instead of the raw ones; ``engine`` selects
         the execution backend for the per-cycle cone
         (see :mod:`repro.perf.engines`).

@@ -52,7 +52,7 @@ class Table1Entry:
     #: Netlist-optimizer statistics for this design's hardwired constant-MAC
     #: datapath (None = ``opt_level`` not requested / model has no linear
     #: coefficient table).  ``opt_stats.gates_before`` is the raw explicit
-    #: gate count, ``opt_stats.gates_after`` the pass-optimized one.
+    #: gate count, ``opt_stats.gates_after`` the optimized one.
     opt_stats: Optional[object] = None
 
 
@@ -88,7 +88,7 @@ def design_mac_netlist(design: object):
     Builds the naive (unoptimized) hardwired multiply-accumulate datapath of
     the design's *first* classifier — one tied-operand multiplier per
     coefficient magnitude plus ripple accumulation — which is what the
-    :mod:`repro.hw.opt` pass pipeline consumes for the optimized-vs-raw gate
+    :mod:`repro.hw.opt` optimizer consumes for the optimized-vs-raw gate
     counts surfaced in the Table I report.  Designs without a linear
     coefficient table (the MLP baseline) return None.
     """
@@ -172,7 +172,7 @@ def generate_table1(
         disables it, or pass an explicit
         :class:`~repro.core.flow_executor.FlowResultCache`.
     opt_level:
-        When set, run the :mod:`repro.hw.opt` netlist pass pipeline at this
+        When set, run the :mod:`repro.hw.opt` netlist optimizer at this
         level over each design's hardwired constant-MAC datapath and attach
         the optimized-vs-raw gate counts to :attr:`Table1Entry.opt_stats`
         (rendered by :func:`format_table1_optimization`).

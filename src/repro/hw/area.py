@@ -83,7 +83,7 @@ def analyze_netlist_area(
 ) -> AreaReport:
     """Area report computed from exact gate counts of an explicit netlist.
 
-    ``opt_level`` optionally runs the :mod:`repro.hw.opt` pass pipeline
+    ``opt_level`` optionally runs the :mod:`repro.hw.opt` optimizer
     first, so the report prices the optimized structure — the exact-count
     companion to the formula-based :func:`analyze_area` estimates.
     """

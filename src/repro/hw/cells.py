@@ -236,3 +236,25 @@ GENERIC_CELL_SET: Dict[str, Tuple[int, int, CellFunction, bool, str]] = {
     "DFF": (1, 1, _f_dff, True, "D flip-flop"),
     "ADC1": (1, 1, _f_buf, False, "per-column analog-to-digital converter slice"),
 }
+
+
+#: Canonical boolean behaviour of each generic cell name, read from
+#: :data:`GENERIC_CELL_SET`.  The compiler direct-lowers a cell only when its
+#: declared ``function`` matches this table over the full truth table (a
+#: library that redefines a standard name falls back to truth-table lowering),
+#: and the optimizer instantiates only library cells that match it.
+CANONICAL_SEMANTICS: Dict[str, CellFunction] = {
+    name: function for name, (_, _, function, _, _) in GENERIC_CELL_SET.items()
+}
+
+
+def cell_matches_canonical(cell: CellType) -> bool:
+    """True when the cell's declared function equals its name's canonical one."""
+    canonical = CANONICAL_SEMANTICS.get(cell.name)
+    if canonical is None:
+        return False
+    for assignment in range(1 << cell.n_inputs):
+        bits = tuple((assignment >> i) & 1 for i in range(cell.n_inputs))
+        if tuple(cell.evaluate(bits)) != tuple(canonical(bits)):
+            return False
+    return True

@@ -372,13 +372,13 @@ class GateNetlist:
     def note_structural_change(self) -> None:
         """Declare an in-place structural rewrite of the netlist.
 
-        The builder API only ever appends, but optimization passes (and any
-        external tooling) may rewrite ``gates`` / ``outputs`` directly —
-        replacing a gate's cell, rewiring pins, dropping gates.  Calling this
-        afterwards rebuilds the derived driver/instance maps from the current
-        structure and bumps the structure version, which invalidates every
-        version-keyed cache (the fanout map, compiled programs, optimized
-        netlists) even when the mutation left all the counts unchanged.
+        The builder API only ever appends, but external tooling may rewrite
+        ``gates`` / ``outputs`` directly — replacing a gate's cell, rewiring
+        pins, dropping gates.  Calling this afterwards rebuilds the derived
+        driver/instance maps from the current structure and bumps the
+        structure version, which invalidates every version-keyed cache (the
+        fanout map, compiled programs, optimized netlists) even when the
+        mutation left all the counts unchanged.
         """
         self._structure_version += 1
         drivers: Dict[str, str] = {net: "<primary-input>" for net in self.inputs}

@@ -1,17 +1,17 @@
-"""Netlist optimization: a pass pipeline over explicit gate-level netlists.
+"""Netlist optimization: one sweep over explicit gate-level netlists.
 
 The RTL generators emit netlists verbatim — including logic whose inputs are
 tied-off constants (hardwired-coefficient multipliers with zero or
 power-of-two weights being the canonical case).  This package optimizes such
-netlists through a small pass manager before any downstream layer consumes
-them:
+netlists before any downstream layer consumes them:
 
-* :func:`optimize` — run the pipeline at a given level; returns an
+* :func:`optimize` — constant folding, buffer/double-inverter collapsing and
+  structural hashing in one forward sweep over the gates, then dead-gate
+  removal in one liveness walk (:mod:`repro.hw.opt.sweep`); returns an
   :class:`OptResult` (optimized :class:`~repro.hw.netlist.GateNetlist` +
-  :class:`OptStats` with per-pass removal counts).
-* passes — constant propagation, buffer/double-inverter collapsing,
-  structural hashing (CSE) and dead-gate elimination
-  (:mod:`repro.hw.opt.passes`).
+  :class:`OptStats` with removal counts per kind of rewrite).
+* :func:`~repro.hw.opt.fold.fold_plan` — what a gate with tied or repeated
+  pins becomes, from its cell's truth table (:mod:`repro.hw.opt.fold`).
 * :func:`check_equivalence` — random-vector bit-parallel equivalence of raw
   vs optimized netlists (the correctness contract of the whole package).
 * :func:`netlist_to_block` — lower a (optionally optimized) netlist to a
@@ -24,20 +24,10 @@ Consumers: ``compile_netlist(..., opt_level=...)`` (compiled simulation),
 ``analyze_netlist_power`` (pricing) and the Table I ``--opt-level`` report.
 """
 
-from repro.hw.opt.ir import IRGate, IRNetlist
 from repro.hw.opt.lowering import netlist_to_block
-from repro.hw.opt.passes import (
+from repro.hw.opt.sweep import (
     COMMUTATIVE_CELLS,
     DEFAULT_OPAQUE_CELLS,
-    PASS_FUNCTIONS,
-    PassContext,
-    buffer_collapse,
-    constant_propagation,
-    dead_gate_elimination,
-    structural_hashing,
-)
-from repro.hw.opt.pipeline import (
-    LEVEL_PASSES,
     MAX_OPT_LEVEL,
     OptimizationError,
     OptResult,
@@ -47,18 +37,9 @@ from repro.hw.opt.pipeline import (
 )
 
 __all__ = [
-    "IRGate",
-    "IRNetlist",
     "netlist_to_block",
     "COMMUTATIVE_CELLS",
     "DEFAULT_OPAQUE_CELLS",
-    "PASS_FUNCTIONS",
-    "PassContext",
-    "buffer_collapse",
-    "constant_propagation",
-    "dead_gate_elimination",
-    "structural_hashing",
-    "LEVEL_PASSES",
     "MAX_OPT_LEVEL",
     "OptimizationError",
     "OptResult",

@@ -127,7 +127,7 @@ def analyze_netlist_power(
 ) -> PowerReport:
     """Power report computed from exact gate counts of an explicit netlist.
 
-    ``opt_level`` optionally runs the :mod:`repro.hw.opt` pass pipeline
+    ``opt_level`` optionally runs the :mod:`repro.hw.opt` optimizer
     first, so static power and switching energy reflect the optimized cell
     inventory — the exact-count companion to the formula-based
     :func:`analyze_power` estimates.

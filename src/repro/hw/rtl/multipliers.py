@@ -255,7 +255,7 @@ def _emit_ripple_add(
 
     Shorter operands are zero-padded with the constant net; every position
     uses a full adder with the carry chain seeded at constant 0 — deliberately
-    unoptimized, the pass pipeline's constant propagation folds the tied
+    unoptimized, the optimizer's constant folding folds the tied
     positions (``FA(a, b, 0)`` -> ``HA`` etc.).  Returns sum nets plus the
     final carry, LSB first.
     """
@@ -320,7 +320,7 @@ def build_constant_multiplier_netlist(
     what a generator emitting "one multiplier per coefficient" produces
     before optimization.  Rows of AND gates fed by ``1'b0`` and full adders
     with constant operands are emitted verbatim; the :mod:`repro.hw.opt`
-    pass pipeline is what folds them away (the cost model already prices
+    optimizer is what folds them away (the cost model already prices
     zero / power-of-two constants at zero — see :func:`constant_multiplier`).
 
     The sign of a negative constant is ignored (magnitude multiplier); the
@@ -349,7 +349,7 @@ def build_constant_mac_netlist(
     *unoptimized* — tied-off array multipliers (see
     :func:`build_constant_multiplier_netlist`) chained through naive ripple
     adders seeded with constant carries.  It is the reference workload for
-    the :mod:`repro.hw.opt` pass pipeline: zero weights leave whole dead
+    the :mod:`repro.hw.opt` optimizer: zero weights leave whole dead
     multipliers behind, power-of-two weights reduce to wiring, and shared
     partial products hash together.
 

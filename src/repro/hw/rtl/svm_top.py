@@ -13,7 +13,7 @@ emits the complete multi-cycle datapath as an explicit
   :meth:`~repro.hw.netlist.GateNetlist.bind_dff`);
 * **bespoke MUX storage** — per weight bit a 2:1-MUX tree over the
   *hardwired* coefficient constants, selected by the counter (emitted
-  naively; the :mod:`repro.hw.opt` passes collapse constant-fed trees);
+  naively; the :mod:`repro.hw.opt` optimizer collapses constant-fed trees);
 * **compute engine** — per feature one unsigned array multiplier
   (``|w| * x``, variable coefficient from storage), a sign-magnitude
   conditional negation, and a ripple accumulation tree, all in
@@ -70,7 +70,7 @@ def _emit_constant_mux(
     ``column[w]`` is the bit stored for select value ``w``; values beyond
     ``len(column)`` read as 0.  Emitted naively (every tree node a MUX2 over
     possibly-constant nets) — exactly what a generator producing bespoke
-    storage emits before optimization; the pass pipeline collapses the
+    storage emits before optimization; the optimizer collapses the
     constant-fed nodes.  Returns the root net (possibly a constant net).
     """
     n_words = 1 << len(sel)

@@ -87,7 +87,7 @@ def simulate_combinational_batch(
     with columns in ``netlist.outputs`` order.  64 vectors are evaluated per
     ``uint64`` word — this is the fast path for randomized verification
     sweeps (see :mod:`repro.perf`).  ``opt_level > 0`` evaluates the
-    :mod:`repro.hw.opt` pass-optimized program instead of the raw one (same
+    :mod:`repro.hw.opt`-optimized program instead of the raw one (same
     outputs, fewer ops; 0 = raw, the oracle); ``engine`` selects the
     execution backend (see :mod:`repro.perf.engines`).
     """

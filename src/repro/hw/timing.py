@@ -189,7 +189,7 @@ def analyze_netlist_timing(
     The netlist is lowered to a :class:`HardwareBlock` with exact cell counts
     and a longest-path-extracted critical path
     (:func:`repro.hw.opt.netlist_to_block`); ``opt_level`` optionally runs
-    the :mod:`repro.hw.opt` pass pipeline first, so the report prices the
+    the :mod:`repro.hw.opt` optimizer first, so the report prices the
     *optimized* structure.  ``sequential`` defaults to auto-detection: a
     netlist containing flip-flops is clocked — its critical path is the
     register-to-register path :func:`longest_path_cells` extracts, and the

@@ -55,7 +55,7 @@ def _sanitize(net: str) -> str:
 def netlist_to_verilog(netlist: GateNetlist, opt_level: int = 0) -> str:
     """Emit a structural (assign-per-gate) Verilog module for a netlist.
 
-    ``opt_level > 0`` runs the :mod:`repro.hw.opt` pass pipeline first and
+    ``opt_level > 0`` runs the :mod:`repro.hw.opt` optimizer first and
     emits the optimized netlist; the module interface (port names and order)
     is identical at every level, only the internal gate structure shrinks.
 
@@ -67,7 +67,7 @@ def netlist_to_verilog(netlist: GateNetlist, opt_level: int = 0) -> str:
     state.
     """
     if opt_level:
-        from repro.hw.opt.pipeline import optimize
+        from repro.hw.opt import optimize
 
         netlist = optimize(netlist, level=opt_level).netlist
     flops = [g for g in netlist.gates if g.cell == "DFF" and g.inputs]

@@ -59,7 +59,7 @@ remains the trace-producing oracle that the vectorized paths are tested
 bit-exactly against.
 
 Since PR 3 the compile entry points accept ``opt_level=`` and lower the
-:mod:`repro.hw.opt` pass-optimized netlist instead of the raw one (0 = raw,
+:mod:`repro.hw.opt`-optimized netlist instead of the raw one (0 = raw,
 the oracle).  Since PR 4 the batch serving subsystem (:mod:`repro.serve`)
 sits directly on the ``run_batch`` hot paths: its micro-batching queue
 coalesces concurrent predict requests into the single-matmul calls this

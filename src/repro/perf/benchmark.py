@@ -15,8 +15,8 @@ tracked PR over PR:
   gate-level sequential-SVM top, a binary counter) vs the interpreted
   per-cycle walk, in cycle-evals/s, with bit-exactness asserted on every
   run.
-* **netlist opt** — gate-count reduction of the :mod:`repro.hw.opt` pass
-  pipeline on the hardwired constant-datapath workloads (tied-operand MAC /
+* **netlist opt** — gate-count reduction of the :mod:`repro.hw.opt`
+  optimizer on the hardwired constant-datapath workloads (tied-operand MAC /
   multiplier), plus the simulation speedup of evaluating the optimized
   program and a random-vector equivalence check.
 * **roofline** — gate-evals/s of the reference interpreter (``interp``)
@@ -462,7 +462,7 @@ def benchmark_roofline(
 
 
 # --------------------------------------------------------------------------- #
-# Netlist optimization (pass pipeline) trajectory
+# Netlist optimization trajectory
 # --------------------------------------------------------------------------- #
 #: Coefficient magnitudes of the reference constant-MAC workload: a mix of
 #: zero, power-of-two and odd weights, the spread a real hardwired
@@ -473,11 +473,11 @@ OPT_BENCH_WEIGHTS = (0, 1, 2, 5, 8, 11, 6, 3)
 def benchmark_optimization(
     input_bits: int = 4, n_vectors: int = 256, seed: int = 0
 ) -> Dict[str, Dict[str, float]]:
-    """Gate-count reduction and simulation speedup of the pass pipeline.
+    """Gate-count reduction and simulation speedup of the optimizer.
 
     For each constant-datapath workload: optimize at level 2, record the
-    per-pass removals, check random-vector equivalence, and time the compiled
-    bit-parallel sweep on the raw vs the optimized program.
+    removals per kind of rewrite, check random-vector equivalence, and time
+    the compiled bit-parallel sweep on the raw vs the optimized program.
     """
     from repro.hw.opt import check_equivalence, optimize
 
@@ -509,10 +509,10 @@ def benchmark_optimization(
             "optimized_eval_s": t_opt,
             "eval_speedup": t_raw / t_opt,
         }
-        for pass_name, removed in stats.removed_per_pass.items():
-            record[f"removed_{pass_name}"] = float(removed)
-        # Port buffers reinserted during reconstruction, so the per-pass
-        # removals minus this reconcile exactly with gates_removed.
+        for rewrite, removed in stats.removed_per_pass.items():
+            record[f"removed_{rewrite}"] = float(removed)
+        # Port buffers reinserted during reconstruction, so the removals per
+        # rewrite minus this reconcile exactly with gates_removed.
         record["port_buffers_added"] = float(stats.port_buffers_added)
         results[name] = record
     return results

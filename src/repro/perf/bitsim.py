@@ -384,7 +384,7 @@ def simulate_netlist_batch(
     ``input_bits`` has shape ``(n_vectors, n_inputs)`` with columns in
     ``netlist.inputs`` order; the result has shape ``(n_vectors, n_outputs)``
     with columns in ``netlist.outputs`` order.  ``opt_level > 0`` evaluates
-    the pass-optimized program instead of the raw one (same outputs, fewer
+    the optimized program instead of the raw one (same outputs, fewer
     ops — bit-exactness is enforced by the equivalence suite); ``engine``
     selects the execution backend (see :mod:`repro.perf.engines`).
 

@@ -34,7 +34,7 @@ opt level) and invalidated by any structural mutation — growth through the
 builder API or an in-place rewrite announced via
 :meth:`~repro.hw.netlist.GateNetlist.note_structural_change` — so repeated
 sweeps over the same netlist compile only once.  ``opt_level > 0`` runs the
-:mod:`repro.hw.opt` pass pipeline before lowering.
+:mod:`repro.hw.opt` optimizer before lowering.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hw.cells import CellLibrary
+from repro.hw.cells import CellLibrary, cell_matches_canonical
 from repro.hw.netlist import GateInstance, GateNetlist, output_count_error
 from repro.hw.pdk import EGFET_PDK
 
@@ -113,46 +113,6 @@ _DIRECT_LOWERING = {
     "DFF": OP_BUF,
     "ADC1": OP_BUF,
 }
-
-#: Canonical boolean behaviour each named lowering assumes.  Before a cell is
-#: direct-lowered, its declared ``function`` is checked against this over the
-#: full truth table; a library that redefines a standard name with different
-#: logic falls back to truth-table lowering instead of being miscompiled.
-#: The optimization passes (:mod:`repro.hw.opt`) share this table when
-#: matching folded truth tables back onto library cells.
-CANONICAL_SEMANTICS = {
-    "INV": lambda b: (1 - b[0],),
-    "BUF": lambda b: (b[0],),
-    "AND2": lambda b: (b[0] & b[1],),
-    "OR2": lambda b: (b[0] | b[1],),
-    "XOR2": lambda b: (b[0] ^ b[1],),
-    "NAND2": lambda b: (1 - (b[0] & b[1]),),
-    "NOR2": lambda b: (1 - (b[0] | b[1]),),
-    "XNOR2": lambda b: (1 - (b[0] ^ b[1]),),
-    "AND3": lambda b: (b[0] & b[1] & b[2],),
-    "OR3": lambda b: (b[0] | b[1] | b[2],),
-    "MUX2": lambda b: (b[1] if b[2] else b[0],),
-    "DFF": lambda b: (b[0],),
-    "ADC1": lambda b: (b[0],),
-    "HA": lambda b: (b[0] ^ b[1], b[0] & b[1]),
-    "FA": lambda b: (
-        b[0] ^ b[1] ^ b[2],
-        (b[0] & b[1]) | (b[2] & (b[0] ^ b[1])),
-    ),
-}
-
-
-def cell_matches_canonical(cell) -> bool:
-    """True when the cell's declared function equals the canonical lowering."""
-    canonical = CANONICAL_SEMANTICS.get(cell.name)
-    if canonical is None:
-        return False
-    for assignment in range(1 << cell.n_inputs):
-        bits = tuple((assignment >> i) & 1 for i in range(cell.n_inputs))
-        if tuple(cell.evaluate(bits)) != tuple(canonical(bits)):
-            return False
-    return True
-
 
 #: Slot indices reserved for the constant nets.
 SLOT_ZERO = 0
@@ -459,9 +419,9 @@ def compile_netlist(
     :meth:`~repro.hw.netlist.GateNetlist.note_structural_change`) or
     switching libraries recompiles automatically.
 
-    ``opt_level > 0`` runs the :mod:`repro.hw.opt` pass pipeline first and
+    ``opt_level > 0`` runs the :mod:`repro.hw.opt` optimizer first and
     compiles the optimized netlist: the program computes the same primary
-    outputs from fewer ops, but internal nets folded away by the passes no
+    outputs from fewer ops, but internal nets the optimizer folded away no
     longer appear in ``net_slots``.  The default (``0``) compiles the raw
     netlist verbatim and remains the oracle the optimized path is checked
     against.  Either way the gates are lowered by :func:`lower_gates`, the
@@ -490,7 +450,7 @@ def compile_netlist(
 
     source = netlist
     if opt_level > 0:
-        from repro.hw.opt.pipeline import optimize
+        from repro.hw.opt import optimize
 
         source = optimize(netlist, level=opt_level, library=library).netlist
 

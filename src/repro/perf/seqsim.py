@@ -14,7 +14,7 @@ with real D flip-flops (built through the
    (:func:`~repro.perf.compile.lower_gates`) builds that program in one
    walk over the clocked netlist's gates, skipping the flip-flops; at
    ``opt_level > 0`` the logic is first copied into a cone netlist, so the
-   :mod:`repro.hw.opt` passes optimize exactly the combinational regions
+   :mod:`repro.hw.opt` optimizer works on exactly the combinational regions
    between register barriers.
 2. **Stateful evaluation** — :class:`SequentialEvaluator` keeps one packed
    ``uint64`` word row per flip-flop and clocks all 64 vectors per word
@@ -170,7 +170,7 @@ def _build_cone(
     Returns ``(cone, state_names, q_nets, d_nets)``.  The cone's inputs are
     the primary inputs plus every Q net; its outputs the primary outputs
     plus every internally-driven D net (so the D slots survive the
-    optimization passes, which preserve primary ports by name).  Only
+    optimizer, which preserves primary ports by name).  Only
     ``opt_level > 0`` builds it, as the optimizer's input: at level 0
     :func:`compile_sequential` lowers the same cone straight from the
     clocked netlist.
@@ -204,7 +204,7 @@ def compile_sequential(
     flip-flops are skipped and their Q nets take the input slots right after
     the primary inputs, so no cone netlist is built.  ``opt_level > 0``
     copies the logic into a cone netlist (:func:`_build_cone`) and runs the
-    :mod:`repro.hw.opt` pass pipeline over it, the combinational regions
+    :mod:`repro.hw.opt` optimizer over it, the combinational regions
     between the register barriers (the registers themselves are never
     touched).  Both give the program the name ``<netlist>__cone``.
 

@@ -70,8 +70,8 @@ class ModelRegistry:
         Worker-process count used by :meth:`preload` for cold names.
     opt_level:
         When set, each loaded linear design's hardwired constant-MAC
-        datapath is run through the :mod:`repro.hw.opt` pass pipeline at
-        this level and the optimized-vs-raw gate counts are surfaced in the
+        datapath is run through the :mod:`repro.hw.opt` optimizer at this
+        level and the optimized-vs-raw gate counts are surfaced in the
         model's ``/models`` metadata.
 
     Example::

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+import repro.toolchain as toolchain_mod
 from repro.core import design_flow
 from repro.core.design_flow import (
     FlowConfig,
@@ -213,6 +214,33 @@ class TestExecuteFlowGrid:
         )
         direct = run_flow("redwine", "ours", tiny_flow_config)
         assert results[("redwine", "ours")] is direct  # same in-process entry
+
+
+@pytest.mark.skipif(
+    not toolchain_mod.native_available(), reason="no C toolchain on this host"
+)
+def test_grid_workers_inherit_loaded_training_kernels(
+    tmp_path, tiny_flow_config, monkeypatch
+):
+    """With an empty kernel cache, a 2-shard grid loads the SVM and MLP epoch
+    kernels before it forks: only its own process invokes the compiler."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(toolchain_mod, "_SO_CACHE", {})
+    monkeypatch.setattr(toolchain_mod, "_FUNCTION_CACHE", {})
+    log = tmp_path / "compiler-pids"
+    real = toolchain_mod._invoke_compiler
+
+    def logged(*args):
+        # Forked workers inherit this wrapper; a file sees all processes.
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(toolchain_mod, "_invoke_compiler", logged)
+    pairs = [("redwine", "ours"), ("cardio", "mlp_parallel")]
+    results = execute_flow_grid(pairs, config=tiny_flow_config, cache=False, jobs=2)
+    assert set(results) == set(pairs)
+    assert log.read_text().split() == [str(os.getpid())] * 2
 
 
 class TestParallelEquivalence:

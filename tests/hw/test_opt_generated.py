@@ -7,7 +7,8 @@ tied constant, so repeated nets and every constant-pin shape that constant
 propagation folds occur; outputs may be constants or primary inputs.  At
 levels 1 and 2 the optimized netlist must keep the port interface, keep every
 ``ADC1`` that drives a primary output, and match the raw netlist on random
-vectors.
+vectors.  Optimizing it again must leave its gate count unchanged: one sweep
+already reaches the fixpoint of its rewrites.
 
 The hypothesis budget comes from the profile registered in
 ``tests/conftest.py``: small in tier-1, deeper under
@@ -69,3 +70,16 @@ def test_optimized_netlist_is_equivalent(raw):
             gate.name for gate in optimized.gates if gate.cell == "ADC1"
         }
         assert check_equivalence(raw, optimized)
+
+
+def assert_idempotent(raw: GateNetlist) -> None:
+    """At levels 1 and 2, a second optimization removes no further gate."""
+    for level in (1, 2):
+        optimized = optimize(raw, level=level).netlist
+        again = optimize(optimized, level=level).stats
+        assert again.gates_after == optimized.n_gates(), level
+
+
+@given(combinational_netlists())
+def test_a_second_optimization_changes_nothing(raw):
+    assert_idempotent(raw)

@@ -19,6 +19,11 @@ must equal the Q values the walk shows one cycle later.  The cone runs on
 exists.  At level 0 the one-pass program must equal, field for field, the
 program of the cone netlist that level 1 and 2 optimize.
 
+:func:`~repro.hw.opt.optimize` also runs on the clocked netlists themselves,
+flip-flops and feedback included: at levels 1 and 2 the optimized netlist
+keeps the port interface, matches the raw one cycle by cycle on random
+vectors, and a second optimization removes no further gate.
+
 The hypothesis budget comes from the profile registered in
 ``tests/conftest.py``: small in tier-1, deeper under
 ``--hypothesis-profile=ci``.
@@ -36,6 +41,7 @@ from hypothesis import strategies as st
 
 import repro.perf.engines as engines_mod
 from repro.hw.netlist import GateNetlist
+from repro.hw.opt import check_equivalence, optimize
 from repro.hw.pdk import EGFET_PDK
 from repro.hw.simulate import simulate_sequential_reference
 from repro.perf.compile import compile_netlist
@@ -46,7 +52,7 @@ from repro.perf.seqsim import (
     simulate_sequential_batch,
 )
 from repro.toolchain import native_available
-from test_opt_generated import CELLS, CONSTANTS
+from test_opt_generated import CELLS, CONSTANTS, assert_idempotent
 
 N_VECTORS = 130
 
@@ -178,3 +184,13 @@ def test_sequential_engines_match_the_reference_walk(netlist, cycles):
             check(SequentialEvaluator(seq, "auto"), "auto numpy domain")
         if native_available():
             check(SequentialEvaluator(seq, "native"), "native")
+
+
+@given(clocked_netlists())
+def test_optimizer_on_clocked_netlists(raw):
+    for level in (1, 2):
+        optimized = optimize(raw, level=level).netlist
+        assert optimized.inputs == raw.inputs
+        assert optimized.outputs == raw.outputs
+        assert check_equivalence(raw, optimized), level
+    assert_idempotent(raw)

@@ -3,9 +3,10 @@
 Pins the edges the layer map in ``docs/architecture.md`` relies on: the
 toolchain module sits below every package, so the trainer in ``ml`` can
 compile its epoch kernel without reaching up into ``perf``, the native
-engine no longer reaches into ``core`` for its cache root, and ``serve`` and
-``jobs`` form no import cycle.  Every import statement counts, including
-those inside functions.
+engine no longer reaches into ``core`` for its cache root, ``serve`` and
+``jobs`` form no import cycle, and no ``hw`` module imports the netlist
+compiler of ``perf`` (the cell semantics both use live in ``hw.cells``).
+Every import statement counts, including those inside functions.
 
 Known upward imports outside these three modules are not pinned here:
 ``ml/feature_selection.py`` imports ``core``, and ``perf/benchmark.py`` and
@@ -88,3 +89,12 @@ def test_jobs_imports_only_the_serve_transport():
     from_serve = {n for n in _package_imports("jobs") if _inside(n, ("repro.serve",))}
     assert from_serve  # the frame transport
     assert all(_inside(n, ("repro.serve.transport",)) for n in from_serve)
+
+
+def test_hw_never_imports_the_netlist_compiler():
+    for path in sorted((PACKAGE / "hw").rglob("*.py")):
+        relative = str(path.relative_to(PACKAGE))
+        compiler = {
+            n for n in imported_modules(relative) if _inside(n, ("repro.perf.compile",))
+        }
+        assert not compiler, relative
